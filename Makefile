@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench-snapshot
+.PHONY: build test race vet
 
 build:
 	$(GO) build ./...
@@ -17,18 +17,6 @@ vet:
 	@mkdir -p bin
 	$(GO) build -o bin/xdealvet ./cmd/xdealvet
 	$(GO) vet -vettool=$(CURDIR)/bin/xdealvet ./...
-
-# Refresh the committed throughput snapshot for the given PR number
-# (make bench-snapshot PR=10 writes BENCH_pr10.json). Wall-clock,
-# stage, and allocation fields vary by machine, worker count, and shard
-# count; the latency/gas percentiles are seed-deterministic. SHARDS
-# parallelizes block execution (reports stay byte-identical; speedups
-# need real cores).
-PR ?= 10
-SHARDS ?= 4
-bench-snapshot:
-	$(GO) run ./cmd/dealsweep -deals 512 -workers 0 -shards $(SHARDS) -seed 7 -bench-json > BENCH_pr$(PR).json
-	@cat BENCH_pr$(PR).json
 
 # CI's allocation-budget gate: fail if the block-production hot path
 # allocates more than the bytes/deal ceiling in allocbudget_test.go.

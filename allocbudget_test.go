@@ -8,11 +8,12 @@ import (
 
 // maxBytesPerDeal is the allocation-budget ceiling the CI gate holds
 // over the block-production hot path, measured through a whole isolated
-// sweep (generation + worlds + aggregation). The PR-10 allocation work
-// (recycled mempool buffers, per-block receipt slabs, string-free
-// digests, preallocated block summaries) lands the sweep at ~310 KB per
-// deal; the ceiling leaves ~55% headroom for population drift while
-// still catching a regression to pre-PR allocation behavior.
+// sweep (generation + worlds + aggregation). Recycled mempool buffers,
+// per-block receipt slabs, string-free digests and preallocated block
+// summaries land the sweep at ~310 KB per deal (309,692 B measured with
+// Go 1.24 on linux/amd64); the ceiling leaves ~55% headroom for
+// population drift while still catching a regression to the older
+// per-transaction allocation behavior.
 const maxBytesPerDeal = 480_000
 
 // TestAllocationBudgetPerDeal is the CI allocation gate: it meters a

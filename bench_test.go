@@ -471,87 +471,6 @@ func BenchmarkFig7TransferDepth(b *testing.B) {
 	}
 }
 
-// Scheduler backend duel: the PR-10 time-wheel vs the legacy binary
-// heap on the workloads that diverge asymptotically. "dense" is the
-// near-future steady state every chain world lives in (delays well
-// under one wheel rotation); "churn" schedules and immediately cancels
-// — O(1) unlink on the wheel vs O(log n) heap fixup; "farspread"
-// forces overflow-heap migration every rotation.
-func BenchmarkMicroSchedulerWheelVsHeap(b *testing.B) {
-	backends := []struct {
-		name string
-		mk   func() *sim.Scheduler
-	}{
-		{"wheel", sim.NewScheduler},
-		{"heap", sim.NewHeapScheduler},
-	}
-	for _, be := range backends {
-		be := be
-		b.Run(be.name+"/dense", func(b *testing.B) {
-			s := be.mk()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.After(sim.Duration(1+i%64), func() {})
-				s.Step()
-			}
-		})
-		b.Run(be.name+"/churn", func(b *testing.B) {
-			s := be.mk()
-			// A standing population keeps the heap's cancel cost honest.
-			for i := 0; i < 4096; i++ {
-				s.After(sim.Duration(10+i), func() {})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cancel := s.After(sim.Duration(5+i%128), func() {})
-				cancel()
-			}
-		})
-		b.Run(be.name+"/farspread", func(b *testing.B) {
-			s := be.mk()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.After(sim.Duration(1+i%8192), func() {})
-				s.Step()
-			}
-		})
-	}
-}
-
-// Sharded arena throughput: the same population at -shards 1/4/16.
-// Reports stay byte-identical (TestShardedArenaReportsByteIdentical);
-// this measures what the parallel execute phase buys. On a single-CPU
-// runner the sharded rows mostly price the goroutine fan-out overhead;
-// speedups need real cores.
-func BenchmarkArenaThroughputSharded(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			const deals = 48
-			for i := 0; i < b.N; i++ {
-				rep, err := xdeal.Sweep(xdeal.SweepOptions{
-					Deals:   deals,
-					Workers: 4,
-					Gen: xdeal.GenOptions{
-						Seed: 7, Protocol: "timelock", AdversaryRate: 0.3,
-					},
-					Arena: &xdeal.ArenaOptions{
-						DealsPerArena: 24, Chains: 4, Shards: shards,
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = rep
-			}
-			b.ReportMetric(float64(deals*b.N)/b.Elapsed().Seconds(), "deals/s")
-		})
-	}
-}
-
 // Allocation profile of the block-production hot path, measured through
 // a whole isolated sweep so mempool recycling, receipt slabs, and the
 // string-free digest all show up. bytes/deal is the number the CI

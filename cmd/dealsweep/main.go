@@ -7,7 +7,7 @@
 //	dealsweep -deals 1000 -workers 8
 //	dealsweep -deals 500 -protocol cbc -adversary-rate 0.5 -dos-rate 0.3
 //	dealsweep -deals 200 -seed 7 -json
-//	dealsweep -seed 7 -replay 131        # re-run flagged deal 131 in full
+//	dealsweep -deals 200 -seed 7 -replay 131   # re-run flagged deal 131 in full
 //
 // Arena mode runs the population in *shared worlds* instead of isolated
 // ones: -arena-deals deals per world contend for -chains chains with
@@ -78,12 +78,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"xdeal/internal/engine"
@@ -111,9 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dosRate := fs.Float64("dos-rate", 0.15, "probability a run includes a DoS outage window [0, 1] (isolated mode)")
 	maxParties := fs.Int("max-parties", 6, "largest generated deal size")
 	serializeRounds := fs.Bool("serialize-rounds", false, "gate each party's rounds strictly (escrow confirm before transfers, transfers before votes) instead of pipelining; same seeds generate the same deals either way")
-	shards := fs.Int("shards", 1, "execute each block's transactions across this many goroutines per chain; reports are byte-identical to -shards 1")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of tables")
-	benchJSON := fs.Bool("bench-json", false, "emit a throughput snapshot (deals/sec, p99 decision latency) as JSON instead of the report")
 	replayIndex := fs.Int("replay", -1, "re-run this deal index from the sweep in full detail")
 	explain := fs.Bool("explain", false, "with -replay: print the replayed deal's critical path and latency attribution as an annotated timeline")
 	chromeTrace := fs.String("chrome-trace", "", "with -replay: write the replayed deal's causal trace as Chrome trace-event JSON to this path (opens in ui.perfetto.dev)")
@@ -162,12 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *deals < 0 {
 		return fail("-deals must be non-negative")
-	}
-	if *shards < 1 {
-		return fail("-shards must be positive, got %d", *shards)
-	}
-	if *jsonOut && *benchJSON {
-		return fail("-json and -bench-json are mutually exclusive")
 	}
 	// Reject degenerate knobs outright instead of silently substituting
 	// defaults: a sweep gated in CI must mean what its flags say.
@@ -227,7 +217,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DoSRate:         *dosRate,
 		MaxParties:      *maxParties,
 		SerializeRounds: *serializeRounds,
-		Shards:          *shards,
 	}
 	if *feeMarket {
 		gen.Fees = &fleet.FeeOptions{BaseFee: *baseFee, TipBudget: *tipBudget}
@@ -243,7 +232,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Chains:        *chains,
 			Volatility:    *volatility,
 			Baselines:     !*noBaselines,
-			Shards:        *shards,
 		}
 		if *bundleMode {
 			opts.Arena.Bundles = true
@@ -260,14 +248,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *arenaMode {
 			return replayArena(stdout, stderr, opts, *replayIndex)
 		}
-		return replay(stdout, stderr, gen, *replayIndex, *explain, *chromeTrace)
+		return replay(stdout, stderr, opts, *replayIndex, *explain, *chromeTrace)
 	}
 
-	// The observability layer. Stage timing is always on (nil-safe,
-	// near-zero, feeds only the bench snapshot); the registry and flight
-	// recorder exist only when their flags ask for output. None of it
-	// can reach the report: obs instruments are passive by contract.
-	ob := &fleet.ObsOptions{Stages: obs.NewStageTimer()}
+	// The observability layer: the registry and flight recorder exist
+	// only when their flags ask for output. None of it can reach the
+	// report: obs instruments are passive by contract.
+	ob := &fleet.ObsOptions{}
 	if *metricsJSON != "" || *metricsCSV != "" {
 		ob.Metrics = obs.NewRegistry()
 	}
@@ -289,9 +276,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	start := obs.Now()
 	rep, err := fleet.Sweep(opts)
-	elapsedSec := obs.Since(start)
 	if stopProf != nil {
 		if perr := stopProf(); perr != nil {
 			fmt.Fprintf(stderr, "dealsweep: profile: %v\n", perr)
@@ -303,12 +288,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	rep.ReplayCommand = replayCommand(opts)
 
-	if *benchJSON {
-		if err := writeBenchSnapshot(stdout, rep, opts, elapsedSec, ob.Stages); err != nil {
-			fmt.Fprintf(stderr, "dealsweep: %v\n", err)
-			return 1
-		}
-	} else if *jsonOut {
+	if *jsonOut {
 		if err := rep.WriteJSON(stdout); err != nil {
 			fmt.Fprintf(stderr, "dealsweep: %v\n", err)
 			return 1
@@ -427,60 +407,6 @@ func writeSnapshot(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// benchSnapshot is the machine-readable throughput record -bench-json
-// emits: population shape, wall-clock throughput, the deterministic
-// latency/gas percentiles of the same report the normal modes render,
-// and (schema v2) the wall-clock stage breakdown plus allocation
-// counters; schema v3 adds the shard count. Throughput, stage, and
-// memory fields depend on the machine, worker count, and shard count;
-// every other field depends only on (seed, deals, generator flags).
-type benchSnapshot struct {
-	Schema           int                `json:"schema"`
-	Deals            int                `json:"deals"`
-	Workers          int                `json:"workers"`
-	Shards           int                `json:"shards"`
-	Seed             uint64             `json:"seed"`
-	Arena            bool               `json:"arena"`
-	ElapsedSec       float64            `json:"elapsed_sec"`
-	DealsPerSec      float64            `json:"deals_per_sec"`
-	P50DecisionDelta float64            `json:"p50_decision_latency_delta"`
-	P99DecisionDelta float64            `json:"p99_decision_latency_delta"`
-	P99Gas           float64            `json:"p99_gas"`
-	Violations       int                `json:"violations"`
-	Stages           []obs.StageSeconds `json:"stages,omitempty"`
-	Mem              obs.MemStats       `json:"mem"`
-}
-
-func writeBenchSnapshot(w io.Writer, rep *fleet.Report, opts fleet.Options, elapsedSec float64, stages *obs.StageTimer) error {
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	shards := opts.Gen.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	snap := benchSnapshot{
-		Schema:           3,
-		Deals:            opts.Deals,
-		Workers:          workers,
-		Shards:           shards,
-		Seed:             opts.Gen.Seed,
-		Arena:            opts.Arena != nil,
-		ElapsedSec:       elapsedSec,
-		DealsPerSec:      float64(opts.Deals) / elapsedSec,
-		P50DecisionDelta: rep.DeltaTime.P50,
-		P99DecisionDelta: rep.DeltaTime.P99,
-		P99Gas:           rep.Gas.P99,
-		Violations:       len(rep.Violations),
-		Stages:           stages.Stages(),
-		Mem:              obs.ReadMemStats(),
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
-}
-
 // replay re-executes one generated scenario in full detail: the deal
 // matrix, the settlement summary, and any property violations. This is
 // the debugging path for a violation the sweep flagged. With explain it
@@ -488,13 +414,12 @@ func writeBenchSnapshot(w io.Writer, rep *fleet.Report, opts fleet.Options, elap
 // chromePath it writes the causal trace as Chrome trace-event JSON.
 // Both views are post-hoc reads of retained state, so the replayed
 // outcome is bit-identical to the sweep's either way.
-func replay(stdout, stderr io.Writer, gen fleet.GenOptions, index int, explain bool, chromePath string) int {
-	g, err := fleet.NewGenerator(gen)
+func replay(stdout, stderr io.Writer, opts fleet.Options, index int, explain bool, chromePath string) int {
+	job, err := fleet.ReplayJob(opts, index)
 	if err != nil {
 		fmt.Fprintf(stderr, "dealsweep: %v\n", err)
 		return 2
 	}
-	job := g.Job(index)
 	fmt.Fprintf(stdout, "replay deal %d (seed %d): %s — shape %s, protocol %s, %d adversaries, outage %v\n\n",
 		job.Index, job.Seed, job.Spec.ID, job.Shape, job.Opts.Protocol, job.Adversaries, job.Outage)
 	fmt.Fprintln(stdout, job.Spec.Matrix())

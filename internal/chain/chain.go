@@ -210,14 +210,6 @@ type Config struct {
 	// Requires a FeeMarket (bids need a fee ledger); without one the
 	// flag is inert and SubmitBundled falls back to plain Submit.
 	Bundles bool
-	// Shards > 1 executes each sealed block's transactions in parallel
-	// across that many goroutines, partitioned by contract colocation
-	// group (see Colocate). Settlement — fee charges, receipts, observer
-	// notification, the block digest — stays serial in original
-	// transaction order, so receipts, events, gas totals, and the chain
-	// hash are bit-for-bit identical to the serial builder. 0 or 1 keeps
-	// the exact legacy single-threaded path.
-	Shards int
 }
 
 // Chain is a simulated blockchain.
@@ -241,17 +233,6 @@ type Chain struct {
 	blockSet  bool // a block production event is scheduled
 	receipts  []*Receipt
 	mpHigh    int // mempool depth high-water, sampled at each arrival
-
-	// Sharded-execution state (see executeSharded): each contract's
-	// colocation-group representative, whether a parallel execute phase
-	// is in flight (arms the Env.Call same-group guard), reusable
-	// shard work lists, and lifetime counters for metrics.
-	groupOf     map[Addr]Addr
-	parallel    bool
-	shardIdx    [][]int
-	shardMeters []*gas.Meter
-	shardBlocks uint64
-	shardTxs    uint64
 
 	// Block-production scratch, reused across blocks so the hot path
 	// stays allocation-free: the digest accumulator and the drained
@@ -314,7 +295,6 @@ func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *Chain {
 		rng:          rng.Fork(),
 		meter:        gas.NewMeter(cfg.Schedule),
 		contracts:    make(map[Addr]Contract),
-		groupOf:      make(map[Addr]Addr),
 		subs:         make(map[int]func(Event)),
 		mpSubs:       make(map[int]func(PendingTx)),
 		rcptSubs:     make(map[int]func(*Receipt)),
@@ -358,46 +338,7 @@ func (c *Chain) Deploy(addr Addr, ct Contract) error {
 		return fmt.Errorf("chain %s: address %s already deployed", c.cfg.ID, addr)
 	}
 	c.contracts[addr] = ct
-	if _, ok := c.groupOf[addr]; !ok {
-		c.groupOf[addr] = addr // its own colocation group until bonded
-	}
 	return nil
-}
-
-// Colocate bonds two contracts into one colocation group: under sharded
-// execution (Config.Shards > 1) they are guaranteed to execute on the
-// same shard, so they may call each other through Env.Call. Any pair of
-// contracts that message-call each other must be colocated before the
-// first sharded block; a cross-group Call during a parallel execute
-// phase panics, because it would race another shard's state. Bonding is
-// transitive and commutative — groups merge, keyed by the smallest
-// member address, so the resulting partition is independent of call
-// order. With Shards ≤ 1 colocation is tracked but has no effect.
-func (c *Chain) Colocate(a, b Addr) {
-	ra, rb := c.groupRep(a), c.groupRep(b)
-	if ra == rb {
-		return
-	}
-	if rb < ra {
-		ra, rb = rb, ra
-	}
-	// Rewriting values under the range key is order-independent: every
-	// member of the losing group gets the same new representative.
-	for addr, rep := range c.groupOf {
-		if rep == rb {
-			c.groupOf[addr] = ra
-		}
-	}
-}
-
-// groupRep returns addr's colocation-group representative, enrolling
-// not-yet-deployed addresses as their own group.
-func (c *Chain) groupRep(addr Addr) Addr {
-	if rep, ok := c.groupOf[addr]; ok {
-		return rep
-	}
-	c.groupOf[addr] = addr
-	return addr
 }
 
 // MustDeploy is Deploy that panics on error, for test and example setup.
@@ -588,21 +529,12 @@ func (c *Chain) produceBlock() {
 
 	// Execute phase: run every included transaction against its
 	// contract. Receipts for the whole block come from two slab
-	// allocations instead of two per transaction. With Shards > 1 the
-	// execute phase fans out across goroutines by colocation group;
-	// execution touches only contract state and its own receipt slot,
-	// so the serial and sharded phases compute identical outcomes.
+	// allocations instead of two per transaction.
 	slab := make([]Receipt, len(txs))
 	ers := make([]execReceipt, len(txs))
-	for i := range ers {
+	for i, tx := range txs {
 		ers[i].Receipt = &slab[i]
-	}
-	if shards := c.cfg.Shards; shards > 1 && len(txs) >= shardMinBlockTxs {
-		c.executeSharded(ers, txs, now, shards)
-	} else {
-		for i, tx := range txs {
-			c.execInto(&ers[i], tx, now, c.meter)
-		}
+		c.execInto(&ers[i], tx, now)
 	}
 
 	// Settle phase, strictly in original inclusion order: fee charges,
@@ -658,7 +590,7 @@ type execReceipt struct {
 // same two halves, so inclusion semantics can never drift between them.
 func (c *Chain) includeTx(tx *Tx, now sim.Time, baseFee, tip uint64) *execReceipt {
 	rcpt := &execReceipt{Receipt: &Receipt{}}
-	c.execInto(rcpt, tx, now, c.meter)
+	c.execInto(rcpt, tx, now)
 	c.settleTx(rcpt, tx, now, baseFee, tip)
 	return rcpt
 }
@@ -694,12 +626,10 @@ func (c *Chain) settleTx(rcpt *execReceipt, tx *Tx, now sim.Time, baseFee, tip u
 }
 
 // execInto runs one transaction against its target contract, writing the
-// outcome into r. Gas goes to m — the chain's own meter on the serial
-// path, a per-shard meter during a parallel execute phase. Execution
-// reads chain-level state that is frozen for the block (contract table,
-// height, keyring) and mutates only contract state and r, which is what
-// makes the sharded fan-out race-free for disjoint colocation groups.
-func (c *Chain) execInto(r *execReceipt, tx *Tx, now sim.Time, m *gas.Meter) {
+// outcome into r and metering gas on the chain's meter. Execution reads
+// chain-level state that is frozen for the block (contract table,
+// height, keyring) and mutates only contract state and r.
+func (c *Chain) execInto(r *execReceipt, tx *Tx, now sim.Time) {
 	r.Tx = tx
 	r.Height = c.height
 	r.Time = now
@@ -708,10 +638,10 @@ func (c *Chain) execInto(r *execReceipt, tx *Tx, now sim.Time, m *gas.Meter) {
 		r.Err = fmt.Errorf("chain %s: no contract at %s", c.cfg.ID, tx.Contract)
 		return
 	}
-	m.Charge(tx.Label, gas.OpTxBase, 1)
+	c.meter.Charge(tx.Label, gas.OpTxBase, 1)
 	env := &Env{
 		chain:  c,
-		meter:  m,
+		meter:  c.meter,
 		label:  tx.Label,
 		origin: tx.Sender,
 		sender: tx.Sender,
@@ -725,74 +655,6 @@ func (c *Chain) execInto(r *execReceipt, tx *Tx, now sim.Time, m *gas.Meter) {
 	if err == nil {
 		r.pending = env.events
 	}
-}
-
-// shardMinBlockTxs is the smallest block worth fanning out: below it the
-// goroutine handoff costs more than the contract calls.
-const shardMinBlockTxs = 4
-
-// executeSharded is the parallel execute phase: transactions partition by
-// colocation group onto cfg.Shards goroutines, each metering gas into its
-// own meter. Two transactions touching the same contract group land on
-// the same shard and execute in original block order relative to each
-// other, so contract state evolves exactly as under serial execution.
-// Shard meters merge into the chain meter in shard-index order; gas
-// totals are commutative sums, so the merged meter is bit-identical to
-// serial metering regardless of goroutine timing.
-func (c *Chain) executeSharded(ers []execReceipt, txs []*Tx, now sim.Time, shards int) {
-	if len(c.shardIdx) < shards {
-		c.shardIdx = make([][]int, shards)
-		c.shardMeters = make([]*gas.Meter, shards)
-	}
-	plan := c.shardIdx[:shards]
-	for s := range plan {
-		plan[s] = plan[s][:0]
-	}
-	for i, tx := range txs {
-		rep, ok := c.groupOf[tx.Contract]
-		if !ok {
-			rep = tx.Contract // undeployed: executes to an error, any shard
-		}
-		s := shardIndex(rep, shards)
-		plan[s] = append(plan[s], i)
-	}
-	c.parallel = true
-	var wg sync.WaitGroup
-	for s := range plan {
-		if len(plan[s]) == 0 {
-			c.shardMeters[s] = nil
-			continue
-		}
-		m := gas.NewMeter(c.cfg.Schedule)
-		c.shardMeters[s] = m
-		wg.Add(1)
-		go func(idx []int, m *gas.Meter) {
-			defer wg.Done()
-			for _, i := range idx {
-				c.execInto(&ers[i], txs[i], now, m)
-			}
-		}(plan[s], m)
-	}
-	wg.Wait()
-	c.parallel = false
-	for s := range plan {
-		if c.shardMeters[s] != nil {
-			c.meter.Merge(c.shardMeters[s])
-			c.shardMeters[s] = nil
-		}
-	}
-	c.shardBlocks++
-	c.shardTxs += uint64(len(txs))
-}
-
-// shardIndex maps a colocation-group representative to a shard via FNV-1a.
-func shardIndex(rep Addr, shards int) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(rep); i++ {
-		h ^= uint64(rep[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(shards))
 }
 
 // dispatch fans an event out to all subscribers with independent delays.
@@ -894,19 +756,10 @@ func (e *Env) Emit(kind string, data any) {
 // Call invokes a method on another contract on the same chain. The callee
 // sees this contract as the sender, as with Ethereum message calls.
 // Events emitted by the callee are published with the caller's transaction.
-//
-// Under sharded execution the caller and callee must share a colocation
-// group (Chain.Colocate); a cross-group call during a parallel execute
-// phase panics rather than silently racing the other shard's state.
 func (e *Env) Call(target Addr, method string, args any) (any, error) {
 	ct, ok := e.chain.contracts[target]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, target)
-	}
-	if e.chain.parallel && e.chain.groupOf[target] != e.chain.groupOf[e.self] {
-		panic(fmt.Sprintf(
-			"chain %s: sharded execution: %s called %s across colocation groups; bond them with Colocate before enabling shards",
-			e.chain.cfg.ID, e.self, target))
 	}
 	sub := &Env{
 		chain:  e.chain,

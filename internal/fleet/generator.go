@@ -48,12 +48,6 @@ type GenOptions struct {
 	// path consumes randomness only for the extra catalog entry, so a
 	// fee-market population's deals keep their FIFO twins' shapes.
 	Fees *FeeOptions
-	// Shards > 1 executes each block's transactions in parallel across
-	// that many goroutines per chain in every generated world (see
-	// chain.Config.Shards). The knob consumes no randomness and results
-	// are byte-identical to the serial default, so sharded populations
-	// are exact seed twins of unsharded ones.
-	Shards int
 }
 
 // Job is one fully specified deal execution: a spec plus engine options,
@@ -106,9 +100,6 @@ func NewGenerator(opts GenOptions) (*Generator, error) {
 	if opts.DoSRate < 0 || opts.DoSRate > 1 {
 		return nil, fmt.Errorf("fleet: DoS rate %v outside [0, 1]", opts.DoSRate)
 	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("fleet: negative shard count %d", opts.Shards)
-	}
 	if opts.MaxParties <= 0 {
 		opts.MaxParties = 6
 	}
@@ -126,6 +117,27 @@ func NewGenerator(opts GenOptions) (*Generator, error) {
 // jobSeed derives the seed of job i via the shared SplitMix64 finalizer.
 func (g *Generator) jobSeed(i int) uint64 {
 	return sim.Mix64(g.opts.Seed ^ sim.Mix64(uint64(i)+0x9e3779b97f4a7c15))
+}
+
+// ReplayJob returns the job a sweep under opts ran at population index,
+// rejecting an index the sweep never reached.
+func ReplayJob(opts Options, index int) (Job, error) {
+	if err := inPopulation(index, opts.Deals); err != nil {
+		return Job{}, err
+	}
+	g, err := NewGenerator(opts.Gen)
+	if err != nil {
+		return Job{}, err
+	}
+	return g.Job(index), nil
+}
+
+// inPopulation rejects a replay index outside a sweep of deals deals.
+func inPopulation(index, deals int) error {
+	if index < 0 || index >= deals {
+		return fmt.Errorf("fleet: deal index %d outside population [0, %d)", index, deals)
+	}
+	return nil
 }
 
 // Job synthesizes scenario i. The same (master seed, i) always yields
@@ -147,7 +159,7 @@ func (g *Generator) Job(i int) Job {
 			proto = "cbc"
 		}
 	}
-	opts := engine.Options{Seed: rng.Uint64(), SerializeRounds: g.opts.SerializeRounds, Shards: g.opts.Shards}
+	opts := engine.Options{Seed: rng.Uint64(), SerializeRounds: g.opts.SerializeRounds}
 	if proto == "cbc" {
 		opts.Protocol = party.ProtoCBC
 		opts.F = 1 + rng.Intn(3)

@@ -9,10 +9,10 @@
 // scheduler or any RNG stream, so a sweep's reports are byte-identical
 // with observability enabled or disabled. Instruments that do read
 // ambient sources — the wall clock (StageTimer), the Go runtime
-// (ReadMemStats, Profiles) — live only here: internal/obs is a
-// sanctioned wrapper under the noclock analyzer, like internal/sim, and
-// their readings feed machine-local throughput snapshots (BENCH_*.json),
-// never the deterministic reports.
+// (Profiles) — live only here: internal/obs is a sanctioned wrapper
+// under the noclock analyzer, like internal/sim, and their readings
+// feed machine-local stage breakdowns and profiles, never the
+// deterministic reports.
 //
 // Every constructor accepts being skipped: methods on nil receivers are
 // no-ops, so instrumented packages write `reg.Counter("x").Inc()`

@@ -8,8 +8,6 @@
 // about the synchrony bound Δ expressed in the same unit.
 package sim
 
-import "container/heap"
-
 // Time is a point in virtual time, measured in ticks since simulation start.
 type Time int64
 
@@ -39,8 +37,9 @@ type event struct {
 	hIdx int // far-future heap index
 }
 
-// eventQueue is the pluggable priority structure under a Scheduler. Both
-// implementations order events by (at, seq) and hold live events only.
+// eventQueue is the priority structure under a Scheduler: the time-wheel
+// in production, and a binary-heap oracle in tests. Both order events by
+// (at, seq) and hold live events only.
 type eventQueue interface {
 	schedule(e *event)
 	remove(e *event)
@@ -92,51 +91,6 @@ func (q *farHeap) maybeShrink() {
 	}
 }
 
-// heapQueue is the legacy single-binary-heap scheduler backend, kept as a
-// differential-testing oracle and benchmark baseline for the time-wheel.
-// Unlike the original it unlinks canceled events immediately (index-tracked
-// heap.Remove) and compacts its backing array after bursts, so Pending()
-// counts live events only and memory tracks the live set.
-type heapQueue struct {
-	h farHeap
-}
-
-func (q *heapQueue) schedule(e *event) {
-	e.loc = locFar
-	heap.Push(&q.h, e)
-}
-
-func (q *heapQueue) remove(e *event) {
-	if e.loc != locFar {
-		return
-	}
-	heap.Remove(&q.h, e.hIdx)
-	e.loc = locNone
-	e.fn = nil
-	q.h.maybeShrink()
-}
-
-func (q *heapQueue) peek() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-
-func (q *heapQueue) pop() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	e := heap.Pop(&q.h).(*event)
-	e.loc = locNone
-	q.h.maybeShrink()
-	return e
-}
-
-func (q *heapQueue) advance(Time) {}
-
-func (q *heapQueue) len() int { return len(q.h) }
-
 // Scheduler is a deterministic discrete-event scheduler. The zero value is
 // not usable; create one with NewScheduler.
 type Scheduler struct {
@@ -150,14 +104,6 @@ type Scheduler struct {
 // backed by the hierarchical time-wheel.
 func NewScheduler() *Scheduler {
 	return &Scheduler{q: newWheelQueue()}
-}
-
-// NewHeapScheduler returns a scheduler backed by the legacy binary heap.
-// It executes the exact same (at, seq) order as the default time-wheel
-// scheduler; it exists as a differential-testing oracle and a benchmark
-// baseline, not for production use.
-func NewHeapScheduler() *Scheduler {
-	return &Scheduler{q: &heapQueue{}}
 }
 
 // Now returns the current virtual time.
