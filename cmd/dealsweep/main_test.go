@@ -87,7 +87,7 @@ func goldenCheck(t *testing.T, fixture string, wantCode int, args ...string) {
 		t.Fatalf("missing fixture %s (run `go test ./cmd/dealsweep -update` to create it): %v", path, err)
 	}
 	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Fatalf("-json report diverged from the committed schema fixture %s.\n"+
+		t.Fatalf("report diverged from the committed fixture %s.\n"+
 			"If the change is intentional, regenerate with `go test ./cmd/dealsweep -update` and review the diff.\n--- got ---\n%s\n--- want ---\n%s",
 			path, stdout.String(), string(want))
 	}
@@ -100,6 +100,25 @@ func goldenCheck(t *testing.T, fixture string, wantCode int, args ...string) {
 func TestGoldenJSONReportIsolated(t *testing.T) {
 	goldenCheck(t, "golden_isolated.json", 0,
 		"-deals", "30", "-seed", "5", "-workers", "4", "-json")
+}
+
+// TestGoldenJSONReportFeeIsolated pins the isolated fee-market path:
+// per-record fee totals, race counters and tip samples folding into the
+// ordering-games block.
+func TestGoldenJSONReportFeeIsolated(t *testing.T) {
+	goldenCheck(t, "golden_fee_isolated.json", 0,
+		"-deals", "30", "-seed", "5", "-feemarket", "-workers", "4", "-json")
+}
+
+// TestGoldenTableReportArena pins the table rendering of a full arena
+// sweep with baselines on: the latency-inflation row and the Fprint
+// output of the interference, ordering-games, bundle-auctions and
+// hedging blocks.
+func TestGoldenTableReportArena(t *testing.T) {
+	goldenCheck(t, "golden_arena_tables.txt", 0,
+		"-arena", "-deals", "24", "-arena-deals", "12", "-chains", "2",
+		"-seed", "7", "-feemarket", "-hedge", "-bundles", "-volatility", "0.05",
+		"-workers", "4")
 }
 
 // TestGoldenJSONReportHedgedArena pins the full arena schema — the
