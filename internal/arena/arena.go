@@ -179,7 +179,8 @@ type DealOutcome struct {
 	// ArenaDelta is decision latency inside the shared world, in Δ
 	// units from the deal's own start; BaselineDelta is the same deal
 	// alone in an isolated world; Inflation is their ratio (0 when
-	// either is unavailable).
+	// either is unavailable or the two worlds reached different
+	// outcomes).
 	ArenaDelta    float64
 	BaselineDelta float64
 	Inflation     float64
@@ -260,7 +261,8 @@ type Interference struct {
 	// and bundle-level griefing comparable seed for seed.
 	VictimExclusionBlocks int `json:"victim_exclusion_blocks,omitempty"`
 	// InflationSamples holds per-deal arena/baseline decision-latency
-	// ratios (present only when baselines ran).
+	// ratios (present only when baselines ran), for deals that reached
+	// the same outcome in both worlds.
 	InflationSamples []float64 `json:"-"`
 	// BundleSamples holds one observation per winning bundle: the
 	// per-slot bid it won at and its deadline slack at inclusion — the
@@ -628,27 +630,46 @@ func engineOptions(opts Options, setup DealSetup, hooks *party.AdaptiveHooks) en
 // a private market with the same process parameters — and fills in the
 // latency-inflation metrics. Serial on purpose: arena runs are the unit
 // of parallelism (the fleet spreads arenas across its worker pool).
+//
+// A ratio is only recorded when both worlds reached the same outcome:
+// a deal that commits in the arena but aborts at its patience horizon
+// alone measures the outcome flip, not contention.
 func runBaselines(opts Options, pop []DealSetup, res *Result) {
 	for k, setup := range pop {
 		out := &res.Outcomes[k]
-		sub := engine.NewSubstrate(engine.SubstrateConfig{
-			Seed:          setup.Seed,
-			BlockInterval: opts.BlockInterval,
-			MaxBlockTxs:   opts.MaxBlockTxs,
-			FeeMarket:     opts.feeConfig(),
-			Bundles:       opts.Bundles,
-		})
-		market := NewMarket(sub.Sched, sim.Mix64(opts.Seed^0xa5a5a5a5), opts.PriceTick, opts.Volatility)
-		hooks := &party.AdaptiveHooks{Oracle: market}
-		w, err := sub.BuildOn(setup.Spec, engineOptions(opts, setup, hooks))
-		if err != nil {
+		r := runBaseline(opts, setup)
+		if r == nil {
 			continue // recorded in the arena pass already if structural
 		}
-		r := w.Run()
 		out.BaselineDelta = r.Phases.InDelta(r.Phases.DecisionEnd, setup.Spec.Delta)
-		if out.BaselineDelta > 0 && out.ArenaDelta > 0 {
+		if out.BaselineDelta > 0 && out.ArenaDelta > 0 && sameOutcome(r, out.Result) {
 			out.Inflation = out.ArenaDelta / out.BaselineDelta
 			res.Interference.InflationSamples = append(res.Interference.InflationSamples, out.Inflation)
 		}
 	}
+}
+
+// runBaseline runs one deal alone in a fresh world; nil when the deal
+// does not build.
+func runBaseline(opts Options, setup DealSetup) *engine.Result {
+	sub := engine.NewSubstrate(engine.SubstrateConfig{
+		Seed:          setup.Seed,
+		BlockInterval: opts.BlockInterval,
+		MaxBlockTxs:   opts.MaxBlockTxs,
+		FeeMarket:     opts.feeConfig(),
+		Bundles:       opts.Bundles,
+	})
+	market := NewMarket(sub.Sched, sim.Mix64(opts.Seed^0xa5a5a5a5), opts.PriceTick, opts.Volatility)
+	hooks := &party.AdaptiveHooks{Oracle: market}
+	w, err := sub.BuildOn(setup.Spec, engineOptions(opts, setup, hooks))
+	if err != nil {
+		return nil
+	}
+	return w.Run()
+}
+
+// sameOutcome reports whether two runs of one deal ended the same way:
+// both committed, both aborted, or both neither.
+func sameOutcome(a, b *engine.Result) bool {
+	return b != nil && a.AllCommitted == b.AllCommitted && a.AllAborted == b.AllAborted
 }

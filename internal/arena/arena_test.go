@@ -282,3 +282,48 @@ func TestSoreLoserAbortNeverViolatesSafety(t *testing.T) {
 		})
 	}
 }
+
+// TestLatencyInflationNeedsSameOutcome: a latency ratio is only
+// recorded for deals that ended the same way alone as in the arena. On
+// this population deal 17 aborts in the shared world but commits alone;
+// its ratio would compare an abort's latency with a commit's.
+func TestLatencyInflationNeedsSameOutcome(t *testing.T) {
+	pop, err := NewPopulation(PopOptions{Seed: 2, Deals: 24, Chains: 2, AdversaryRate: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Seed: 2, Baselines: true, Volatility: 0.05}
+	res, err := Run(opts, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := opts.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	flips, samples := 0, 0
+	for k, out := range res.Outcomes {
+		alone := runBaseline(opts, pop[k])
+		if alone == nil {
+			t.Fatalf("deal %d does not build alone", k)
+		}
+		decided := out.ArenaDelta > 0 && out.BaselineDelta > 0
+		if decided && !sameOutcome(alone, out.Result) {
+			flips++
+		}
+		want := 0.0
+		if decided && sameOutcome(alone, out.Result) {
+			want = out.ArenaDelta / out.BaselineDelta
+			samples++
+		}
+		if out.Inflation != want {
+			t.Fatalf("deal %d: inflation %v, want %v (arena committed=%v, alone committed=%v)",
+				k, out.Inflation, want, out.Result.AllCommitted, alone.AllCommitted)
+		}
+	}
+	if flips == 0 {
+		t.Fatal("population has no outcome flip; the test no longer covers the mismatch case")
+	}
+	if got := len(res.Interference.InflationSamples); got != samples {
+		t.Fatalf("%d inflation samples, want %d", got, samples)
+	}
+}

@@ -261,7 +261,8 @@ type Interference struct {
 	Arenas int `json:"arenas"`
 	Chains int `json:"chains"`
 	// LatencyInflation distributes per-deal arena/solo decision-latency
-	// ratios; only deals that decided in both worlds contribute.
+	// ratios; only deals that decided in both worlds, with the same
+	// outcome, contribute.
 	LatencyInflation Dist `json:"latency_inflation"`
 	// Sore-loser damage: triggers (parties that backed out on a price
 	// move), deals that consequently failed to commit, and the fungible
