@@ -164,8 +164,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *feeMarket && *tipBudget == 0 {
 		return fail("-tip-budget must be positive (a zero-budget fee bidder is a plain racer in disguise)")
 	}
-	if *arenaMode && *arenaDeals <= 0 {
-		return fail("-arena-deals must be positive, got %d", *arenaDeals)
+	if *feeMarket && *baseFee == 0 {
+		return fail("-base-fee must be positive (a zero base fee would be defaulted to 100)")
+	}
+	if *arenaMode {
+		if *arenaDeals <= 0 {
+			return fail("-arena-deals must be positive, got %d", *arenaDeals)
+		}
+		if *chains <= 0 {
+			return fail("-chains must be positive, got %d", *chains)
+		}
+		if *volatility <= 0 {
+			return fail("-volatility must be positive, got %v (a zero volatility would be defaulted to 0.02)", *volatility)
+		}
+	}
+	for _, b := range []struct {
+		name  string
+		value float64
+	}{
+		{"-budget-p99-delta", *budgetP99Delta},
+		{"-budget-p99-gas", *budgetP99Gas},
+		{"-budget-fee-per-commit", *budgetFeePerCommit},
+		{"-budget-residual-loss", *budgetResidualLoss},
+		{"-budget-bundle-defer", *budgetBundleDefer},
+	} {
+		if b.value < 0 {
+			return fail("%s must be non-negative (0 turns the gate off), got %v", b.name, b.value)
+		}
 	}
 	if *hedgeMode {
 		if !*arenaMode {

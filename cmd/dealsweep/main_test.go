@@ -27,6 +27,16 @@ func TestFlagValidationRejectsDegenerateSweeps(t *testing.T) {
 		{"zero-tip-budget", []string{"-feemarket", "-tip-budget", "0"}, "-tip-budget must be positive"},
 		{"zero-arena-deals", []string{"-arena", "-arena-deals", "0"}, "-arena-deals must be positive"},
 		{"negative-arena-deals", []string{"-arena", "-arena-deals", "-5"}, "-arena-deals must be positive"},
+		{"zero-base-fee", []string{"-feemarket", "-base-fee", "0"}, "-base-fee must be positive"},
+		{"zero-chains", []string{"-arena", "-chains", "0"}, "-chains must be positive"},
+		{"negative-chains", []string{"-arena", "-chains", "-2"}, "-chains must be positive"},
+		{"zero-volatility", []string{"-arena", "-volatility", "0"}, "-volatility must be positive"},
+		{"negative-volatility", []string{"-arena", "-volatility", "-0.1"}, "-volatility must be positive"},
+		{"negative-p99-delta-budget", []string{"-budget-p99-delta", "-1"}, "-budget-p99-delta must be non-negative"},
+		{"negative-p99-gas-budget", []string{"-budget-p99-gas", "-1"}, "-budget-p99-gas must be non-negative"},
+		{"negative-fee-budget", []string{"-feemarket", "-budget-fee-per-commit", "-1"}, "-budget-fee-per-commit must be non-negative"},
+		{"negative-residual-budget", []string{"-arena", "-hedge", "-budget-residual-loss", "-1"}, "-budget-residual-loss must be non-negative"},
+		{"negative-defer-budget", []string{"-arena", "-feemarket", "-bundles", "-budget-bundle-defer", "-1"}, "-budget-bundle-defer must be non-negative"},
 		{"zero-hedge-collateral", []string{"-arena", "-hedge", "-hedge-collateral", "0"}, "-hedge-collateral must be positive"},
 		{"negative-hedge-collateral", []string{"-arena", "-hedge", "-hedge-collateral", "-0.5"}, "-hedge-collateral must be positive"},
 		{"hedge-without-arena", []string{"-hedge"}, "-hedge needs -arena"},
