@@ -238,39 +238,16 @@ func sweepArenas(opts Options) (*Report, error) {
 	if f := gen.opts.Fees; f != nil {
 		agg.EnableFees(f.BaseFee, f.TipBudget)
 	}
-	if ao.Hedge {
-		agg.EnableHedging(ao.HedgeCollateral, ao.PremiumVolWindow)
-	}
-	if ao.Bundles {
-		agg.EnableBundles(ao.BundleBudget)
-	}
+	agg.EnableArena(ao)
 	agg.EnableObs(opts.Obs.metrics(), opts.Obs.flight())
-	inter := &Interference{Arenas: nArenas, Chains: ao.Chains}
-	var inflation Sketch
 	for a, res := range results {
 		proto, _ := arenaProtocol(opts.Gen.Protocol, a)
 		for _, out := range res.Outcomes {
 			agg.Add(arenaRecord(a*ao.DealsPerArena+out.Index, proto, out, feesOn))
 		}
-		inter.SoreLoserTriggers += res.Interference.SoreLoserTriggers
-		inter.SoreLoserDeals += res.Interference.SoreLoserDeals
-		inter.SoreLoserLoss += res.Interference.SoreLoserLoss
-		inter.FrontRunAttempts += res.Interference.FrontRunAttempts
-		inter.FrontRunWins += res.Interference.FrontRunWins
-		inter.VictimExclusionBlocks += res.Interference.VictimExclusionBlocks
-		agg.AddFeeWorld(res.Fees)
-		agg.AddBundleArena(res.Interference)
-		agg.AddFeeRaces(res.Interference.FrontRunAttempts, res.Interference.FrontRunWins,
-			res.Interference.FeeBidAttempts, res.Interference.FeeBidWins)
-		agg.AddHedgeArena(res.Interference)
-		for _, x := range res.Interference.InflationSamples {
-			inflation.Add(x)
-		}
+		agg.AddArena(res)
 	}
-	rep := agg.Report()
-	inter.LatencyInflation = inflation.Dist()
-	rep.Interference = inter
-	return rep, nil
+	return agg.Report(), nil
 }
 
 // ReplayArenaDeal re-runs the arena containing population index under

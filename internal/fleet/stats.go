@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"text/tabwriter"
 
 	"xdeal/internal/arena"
-	"xdeal/internal/engine"
 	"xdeal/internal/obs"
 )
 
@@ -23,41 +23,6 @@ type Dist struct {
 	P90   float64 `json:"p90"`
 	P99   float64 `json:"p99"`
 	Max   float64 `json:"max"`
-}
-
-// NewDist computes a Dist over the samples (order irrelevant).
-func NewDist(samples []float64) Dist {
-	d := Dist{Count: len(samples)}
-	if d.Count == 0 {
-		return d
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	sum := 0.0
-	for _, v := range s {
-		sum += v
-	}
-	d.Min, d.Max = s[0], s[len(s)-1]
-	d.Mean = sum / float64(len(s))
-	d.P50 = percentile(s, 0.50)
-	d.P90 = percentile(s, 0.90)
-	d.P99 = percentile(s, 0.99)
-	return d
-}
-
-// percentile returns the nearest-rank percentile of sorted samples.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }
 
 // sketchGamma is the Sketch's log-bucket base: values within the same
@@ -392,101 +357,6 @@ type BidDecile struct {
 	MeanSlackDelta float64 `json:"mean_slack_delta"`
 }
 
-// bundleAgg folds bundle observations in constant memory: counters
-// plus a per-slot-bid-keyed slack histogram (per-slot bids are small
-// integers bounded by the bidder escalation and griefer budgets, so
-// the key space stays tiny).
-type bundleAgg struct {
-	budget                uint64
-	auctions              int
-	wins, defers          int
-	attempts, successes   int
-	victimExclusionBlocks int
-	byBid                 map[uint64]*bidSlackAgg
-}
-
-type bidSlackAgg struct {
-	wins          int
-	slackMilliSum int64
-}
-
-// EnableBundles arms the bundle-auctions block: the report will carry
-// it even for an empty population, echoing the sweep's configuration.
-func (a *Aggregator) EnableBundles(budget uint64) {
-	if a.bundles == nil {
-		a.bundles = &bundleAgg{byBid: make(map[uint64]*bidSlackAgg)}
-	}
-	a.bundles.budget = budget
-}
-
-// AddBundleArena folds one arena's bundle metrics (arena order, so the
-// report stays byte-identical for any worker count).
-func (a *Aggregator) AddBundleArena(inter arena.Interference) {
-	if a.bundles == nil {
-		return
-	}
-	b := a.bundles
-	b.auctions += inter.BundleAuctions
-	b.wins += inter.BundleWins
-	b.defers += inter.BundleDefers
-	b.attempts += inter.ExclusionAttempts
-	b.successes += inter.ExclusionSuccesses
-	b.victimExclusionBlocks += inter.VictimExclusionBlocks
-	for _, s := range inter.BundleSamples {
-		agg := b.byBid[s.PerSlot]
-		if agg == nil {
-			agg = &bidSlackAgg{}
-			b.byBid[s.PerSlot] = agg
-		}
-		agg.wins++
-		agg.slackMilliSum += s.SlackMilli
-	}
-}
-
-// bundleAuctions finalizes the block.
-func (b *bundleAgg) bundleAuctions() *BundleAuctions {
-	return &BundleAuctions{
-		Budget:                b.budget,
-		Auctions:              b.auctions,
-		Wins:                  b.wins,
-		Defers:                b.defers,
-		ExclusionAttempts:     b.attempts,
-		ExclusionSuccesses:    b.successes,
-		VictimExclusionBlocks: b.victimExclusionBlocks,
-		SlackByBidDecile:      b.bidDeciles(),
-	}
-}
-
-// bidDeciles splits the per-slot-bid-keyed slack histogram into
-// deciles of wins ranked by bid (foldDeciles carries the shared
-// whole-bucket assignment, so this table can never diverge from the
-// tip-delay and hedge-premium ones).
-func (b *bundleAgg) bidDeciles() []BidDecile {
-	bids := make([]uint64, 0, len(b.byBid))
-	total := 0
-	for bid, agg := range b.byBid {
-		bids = append(bids, bid)
-		total += agg.wins
-	}
-	if total == 0 {
-		return nil
-	}
-	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
-	var out []BidDecile
-	var slackSum int64
-	foldDeciles(bids, total,
-		func(bid uint64) int { return b.byBid[bid].wins },
-		func(bid uint64) { slackSum += b.byBid[bid].slackMilliSum },
-		func(decile int, maxBid uint64, wins int) {
-			out = append(out, BidDecile{
-				Decile: decile, MaxPerSlot: maxBid, Wins: wins,
-				MeanSlackDelta: float64(slackSum) / 1000 / float64(wins),
-			})
-			slackSum = 0
-		})
-	return out
-}
-
 // Absorbed is the fraction of the gross sore-loser loss the payouts
 // absorbed (0 with no loss).
 func (h *Hedging) Absorbed() float64 {
@@ -504,112 +374,6 @@ type VolDecile struct {
 	// MeanPremiumPct is the decile's mean premium as a percentage of
 	// the collateral it insured.
 	MeanPremiumPct float64 `json:"mean_premium_pct"`
-}
-
-// hedgeAgg folds hedge observations in constant memory: counters plus
-// a volatility-keyed histogram (volatilities arrive quantized to basis
-// points, so the key space stays tiny).
-type hedgeAgg struct {
-	collateral float64
-	volWindow  int
-	binds      int
-	settles    int
-	premiums   uint64
-	refunds    uint64
-	payouts    uint64
-	gross      uint64
-	residual   uint64
-	byVol      map[int]*volPremiumAgg
-}
-
-type volPremiumAgg struct {
-	binds         int
-	premiumSum    uint64
-	collateralSum uint64
-}
-
-// EnableHedging arms the hedging block: the report will carry it even
-// for an empty population, echoing the sweep's configuration.
-func (a *Aggregator) EnableHedging(collateral float64, volWindow int) {
-	if a.hedge == nil {
-		a.hedge = &hedgeAgg{byVol: make(map[int]*volPremiumAgg)}
-	}
-	a.hedge.collateral, a.hedge.volWindow = collateral, volWindow
-}
-
-// AddHedgeArena folds one arena's hedge metrics (arena order, so the
-// report stays byte-identical for any worker count).
-func (a *Aggregator) AddHedgeArena(inter arena.Interference) {
-	if a.hedge == nil {
-		return
-	}
-	h := a.hedge
-	h.binds += inter.HedgeBinds
-	h.settles += inter.HedgeSettles
-	h.premiums += inter.PremiumsPaid
-	h.refunds += inter.PremiumsRefunded
-	h.payouts += inter.PayoutsClaimed
-	h.gross += inter.SoreLoserLoss
-	h.residual += inter.ResidualSoreLoserLoss
-	for _, s := range inter.HedgeSamples {
-		v := h.byVol[s.VolBps]
-		if v == nil {
-			v = &volPremiumAgg{}
-			h.byVol[s.VolBps] = v
-		}
-		v.binds++
-		v.premiumSum += s.Premium
-		v.collateralSum += s.Collateral
-	}
-}
-
-// hedging finalizes the block.
-func (h *hedgeAgg) hedging() *Hedging {
-	return &Hedging{
-		Collateral:            h.collateral,
-		VolWindow:             h.volWindow,
-		Binds:                 h.binds,
-		Settles:               h.settles,
-		PremiumsPaid:          h.premiums,
-		PremiumsRefunded:      h.refunds,
-		PayoutsClaimed:        h.payouts,
-		GrossSoreLoserLoss:    h.gross,
-		ResidualSoreLoserLoss: h.residual,
-		PremiumByVolDecile:    h.volDeciles(),
-	}
-}
-
-// volDeciles splits the volatility-keyed histogram into deciles of
-// binds ranked by realized volatility (foldDeciles carries the shared
-// whole-bucket assignment).
-func (h *hedgeAgg) volDeciles() []VolDecile {
-	vols := make([]int, 0, len(h.byVol))
-	total := 0
-	for v, agg := range h.byVol {
-		vols = append(vols, v)
-		total += agg.binds
-	}
-	if total == 0 {
-		return nil
-	}
-	sort.Ints(vols)
-	var out []VolDecile
-	var premiumSum, collateralSum uint64
-	foldDeciles(vols, total,
-		func(v int) int { return h.byVol[v].binds },
-		func(v int) {
-			premiumSum += h.byVol[v].premiumSum
-			collateralSum += h.byVol[v].collateralSum
-		},
-		func(decile int, maxVol int, binds int) {
-			vd := VolDecile{Decile: decile, MaxVolBps: maxVol, Binds: binds}
-			if collateralSum > 0 {
-				vd.MeanPremiumPct = 100 * float64(premiumSum) / float64(collateralSum)
-			}
-			out = append(out, vd)
-			premiumSum, collateralSum = 0, 0
-		})
-	return out
 }
 
 // WinRate returns wins/attempts (0 for none).
@@ -638,142 +402,58 @@ type TipDecile struct {
 	MeanDelay float64 `json:"mean_delay"` // mean ticks queued before inclusion
 }
 
-// feeAgg folds fee-market observations in constant memory: totals,
-// race counters, and a tip-keyed delay histogram (tips are small
-// integers bounded by the bid budget, so the key space stays tiny).
-type feeAgg struct {
-	baseFee, tipBudget uint64
-	burned, tipped     uint64
-	commitFees         uint64
-	commits            int
-	races, raceWins    int
-	bids, bidWins      int
-	tipDelay           map[uint64]*tipDelayAgg
+// hist is a constant-memory keyed histogram: per key, an item count
+// and two payload sums. Keys are small quantized values (tips, per-slot
+// bids, volatilities in basis points), so the key space stays tiny. It
+// holds the raw material of every by-decile table in the report.
+type hist[K cmp.Ordered] map[K]*histBin
+
+type histBin struct {
+	n    int
+	x, y int64
 }
 
-type tipDelayAgg struct {
-	count    int
-	delaySum int64
-}
-
-// EnableFees arms the ordering-games block: the report will carry it
-// even for an empty population, echoing the sweep's fee configuration.
-func (a *Aggregator) EnableFees(baseFee, tipBudget uint64) {
-	if a.fees == nil {
-		a.fees = &feeAgg{tipDelay: make(map[uint64]*tipDelayAgg)}
+func (h hist[K]) add(k K, x, y int64) {
+	b := h[k]
+	if b == nil {
+		b = &histBin{}
+		h[k] = b
 	}
-	a.fees.baseFee, a.fees.tipBudget = baseFee, tipBudget
+	b.n++
+	b.x += x
+	b.y += y
 }
 
-// AddFeeWorld folds one shared world's fee summary (arena mode: totals
-// and samples are per-substrate, not per-deal, so they fold once per
-// arena in arena order).
-func (a *Aggregator) AddFeeWorld(fees *engine.FeeSummary) {
-	if fees == nil || a.fees == nil {
-		return
+// deciles assigns whole buckets (keys ascending) to deciles of the
+// item population: a bucket's items are consumed in key order against
+// ceil(d·total/10) boundaries, so equal keys never straddle a boundary,
+// and deciles left empty by a large bucket merge into the one that
+// swallowed them. emit receives each finished decile's index, the
+// largest key it swallowed, and the sum of its buckets.
+func (h hist[K]) deciles(emit func(decile int, maxKey K, sum histBin)) {
+	keys := make([]K, 0, len(h))
+	total := 0
+	for k, b := range h {
+		keys = append(keys, k)
+		total += b.n
 	}
-	a.fees.burned += fees.Burned
-	a.fees.tipped += fees.Tipped
-	a.fees.addSamples(fees.Samples)
-}
-
-// AddFeeRaces folds race counters metered outside records (arena mode).
-func (a *Aggregator) AddFeeRaces(races, raceWins, bids, bidWins int) {
-	if a.fees == nil {
-		return
-	}
-	a.fees.races += races
-	a.fees.raceWins += raceWins
-	a.fees.bids += bids
-	a.fees.bidWins += bidWins
-}
-
-func (f *feeAgg) addSamples(samples []engine.FeeSample) {
-	for _, s := range samples {
-		t := f.tipDelay[s.Tip]
-		if t == nil {
-			t = &tipDelayAgg{}
-			f.tipDelay[s.Tip] = t
-		}
-		t.count++
-		t.delaySum += s.Queued
-	}
-}
-
-// orderingGames finalizes the block.
-func (f *feeAgg) orderingGames() *OrderingGames {
-	o := &OrderingGames{
-		BaseFee:          f.baseFee,
-		TipBudget:        f.tipBudget,
-		FeesBurned:       f.burned,
-		FeesTipped:       f.tipped,
-		CommittedDeals:   f.commits,
-		FrontRunAttempts: f.races,
-		FrontRunWins:     f.raceWins,
-		FeeBidAttempts:   f.bids,
-		FeeBidWins:       f.bidWins,
-	}
-	if f.commits > 0 {
-		o.FeePerCommit = float64(f.commitFees) / float64(f.commits)
-	}
-	o.InclusionDelay = f.deciles()
-	return o
-}
-
-// foldDeciles assigns whole histogram buckets (keys ascending) to
-// deciles of a total-item population: a bucket's items are consumed in
-// key order against ceil(d·total/10) boundaries, so equal keys never
-// straddle a boundary, and deciles left empty by a large bucket merge
-// into the one that swallowed them. absorb folds a bucket's payload
-// into the open decile; flush emits a finished decile (its index, the
-// largest key it swallowed, its item count) and must reset the
-// caller's payload accumulators. Shared by the tip-delay and
-// hedge-premium decile tables so the two can never diverge.
-func foldDeciles[K cmp.Ordered](keys []K, total int, count func(K) int, absorb func(K), flush func(decile int, maxKey K, items int)) {
-	cum, d, open, items := 0, 1, 1, 0
-	var maxKey K
-	boundary := func(d int) int { return (d*total + 9) / 10 } // ceil(d·total/10)
+	slices.Sort(keys)
+	cum, d, open := 0, 1, 1
+	var acc histBin
 	for _, k := range keys {
-		absorb(k)
-		items += count(k)
-		maxKey = k
-		cum += count(k)
-		for d <= 10 && cum >= boundary(d) {
+		b := h[k]
+		acc.n += b.n
+		acc.x += b.x
+		acc.y += b.y
+		cum += b.n
+		for d <= 10 && cum >= (d*total+9)/10 {
 			d++
 		}
 		if d > open {
-			flush(open, maxKey, items)
-			open, items = d, 0
+			emit(open, k, acc)
+			open, acc = d, histBin{}
 		}
 	}
-}
-
-// deciles splits the tip-keyed histogram into deciles of included
-// transactions ranked by tip.
-func (f *feeAgg) deciles() []TipDecile {
-	tips := make([]uint64, 0, len(f.tipDelay))
-	total := 0
-	for tip, agg := range f.tipDelay {
-		tips = append(tips, tip)
-		total += agg.count
-	}
-	if total == 0 {
-		return nil
-	}
-	sort.Slice(tips, func(i, j int) bool { return tips[i] < tips[j] })
-	var out []TipDecile
-	var delaySum int64
-	foldDeciles(tips, total,
-		func(t uint64) int { return f.tipDelay[t].count },
-		func(t uint64) { delaySum += f.tipDelay[t].delaySum },
-		func(decile int, maxTip uint64, txs int) {
-			out = append(out, TipDecile{
-				Decile: decile, MaxTip: maxTip, Count: txs,
-				MeanDelay: float64(delaySum) / float64(txs),
-			})
-			delaySum = 0
-		})
-	return out
 }
 
 // maxViolations bounds the violation list so even a population where
@@ -781,18 +461,109 @@ func (f *feeAgg) deciles() []TipDecile {
 const maxViolations = 1000
 
 // Aggregator folds Records into a Report incrementally, in constant
-// memory: counters and sketches instead of sample slices. Fold order
-// defines the report (violation order), so fold in index order.
+// memory: counters and sketches instead of sample slices. Every report
+// block sums straight into its own fields; only the distributions keep
+// side state here. Fold order defines the report (violation order), so
+// fold in index order.
 type Aggregator struct {
 	rep        *Report
 	gas, dtime Sketch
-	fees       *feeAgg              // nil unless EnableFees armed the ordering block
-	hedge      *hedgeAgg            // nil unless EnableHedging armed the hedging block
-	bundles    *bundleAgg           // nil unless EnableBundles armed the bundle block
+	inflation  Sketch               // arena/alone latency ratios (Interference)
+	commitFees uint64               // fee spend of committed deals (OrderingGames)
+	tips       hist[uint64]         // tip -> queuing delay (OrderingGames)
+	vols       hist[int]            // volatility bps -> premium, collateral (Hedging)
+	bids       hist[uint64]         // per-slot bid -> slack in mΔ (BundleAuctions)
 	phases     map[string]*phaseAgg // protocol -> phase sketches, created on first span
 	crit       map[string]*critAgg  // protocol|mix -> attribution sketches, created on first decided deal
 	metrics    *obs.Registry        // nil unless EnableObs attached a registry
 	flight     *obs.Recorder        // nil unless EnableObs attached a recorder
+}
+
+// EnableFees arms the ordering-games block: the report will carry it
+// even for an empty population, echoing the sweep's fee configuration.
+func (a *Aggregator) EnableFees(baseFee, tipBudget uint64) {
+	a.rep.OrderingGames = &OrderingGames{BaseFee: baseFee, TipBudget: tipBudget}
+}
+
+// EnableArena arms the arena blocks from the sweep's (defaulted) arena
+// options: Interference always, Hedging and BundleAuctions when the
+// options run them. The blocks echo the configuration even for an
+// empty population.
+func (a *Aggregator) EnableArena(ao ArenaOptions) {
+	a.rep.Interference = &Interference{Chains: ao.Chains}
+	if ao.Hedge {
+		a.rep.Hedging = &Hedging{Collateral: ao.HedgeCollateral, VolWindow: ao.PremiumVolWindow}
+	}
+	if ao.Bundles {
+		a.rep.BundleAuctions = &BundleAuctions{Budget: ao.BundleBudget}
+	}
+}
+
+// AddArena folds one shared world's world-level metrics (interference
+// tallies, fee flows, hedge and bundle observations) into the blocks
+// EnableArena armed. Its deals fold through Add. Fold arenas in arena
+// order so the report never depends on the worker count.
+func (a *Aggregator) AddArena(res *arena.Result) {
+	i := &res.Interference
+	in := a.rep.Interference
+	in.Arenas++
+	in.SoreLoserTriggers += i.SoreLoserTriggers
+	in.SoreLoserDeals += i.SoreLoserDeals
+	in.SoreLoserLoss += i.SoreLoserLoss
+	in.FrontRunAttempts += i.FrontRunAttempts
+	in.FrontRunWins += i.FrontRunWins
+	in.VictimExclusionBlocks += i.VictimExclusionBlocks
+	for _, x := range i.InflationSamples {
+		a.inflation.Add(x)
+	}
+	if f := res.Fees; f != nil {
+		a.addFees(&FeeRecord{
+			Burned: f.Burned, Tipped: f.Tipped,
+			Races: i.FrontRunAttempts, RaceWins: i.FrontRunWins,
+			Bids: i.FeeBidAttempts, BidWins: i.FeeBidWins,
+			Samples: f.Samples,
+		})
+	}
+	if h := a.rep.Hedging; h != nil {
+		h.Binds += i.HedgeBinds
+		h.Settles += i.HedgeSettles
+		h.PremiumsPaid += i.PremiumsPaid
+		h.PremiumsRefunded += i.PremiumsRefunded
+		h.PayoutsClaimed += i.PayoutsClaimed
+		h.ResidualSoreLoserLoss += i.ResidualSoreLoserLoss
+		for _, s := range i.HedgeSamples {
+			a.vols.add(s.VolBps, int64(s.Premium), int64(s.Collateral))
+		}
+	}
+	if b := a.rep.BundleAuctions; b != nil {
+		b.Auctions += i.BundleAuctions
+		b.Wins += i.BundleWins
+		b.Defers += i.BundleDefers
+		b.ExclusionAttempts += i.ExclusionAttempts
+		b.ExclusionSuccesses += i.ExclusionSuccesses
+		for _, s := range i.BundleSamples {
+			a.bids.add(s.PerSlot, s.SlackMilli, 0)
+		}
+	}
+}
+
+// addFees folds one world's fee flows, race counters and (tip, delay)
+// samples into the ordering-games block: once per record in isolated
+// sweeps, once per shared world in arena sweeps.
+func (a *Aggregator) addFees(f *FeeRecord) {
+	og := a.rep.OrderingGames
+	if og == nil {
+		return
+	}
+	og.FeesBurned += f.Burned
+	og.FeesTipped += f.Tipped
+	og.FrontRunAttempts += f.Races
+	og.FrontRunWins += f.RaceWins
+	og.FeeBidAttempts += f.Bids
+	og.FeeBidWins += f.BidWins
+	for _, s := range f.Samples {
+		a.tips.add(s.Tip, s.Queued, 0)
+	}
 }
 
 // EnableObs attaches the observability instruments: the registry gains
@@ -806,10 +577,15 @@ func (a *Aggregator) EnableObs(metrics *obs.Registry, flight *obs.Recorder) {
 
 // NewAggregator returns an empty aggregator.
 func NewAggregator() *Aggregator {
-	return &Aggregator{rep: &Report{
-		ByShape:    make(map[string]*Counts),
-		ByProtocol: make(map[string]*Counts),
-	}}
+	return &Aggregator{
+		rep: &Report{
+			ByShape:    make(map[string]*Counts),
+			ByProtocol: make(map[string]*Counts),
+		},
+		tips: hist[uint64]{},
+		vols: hist[int]{},
+		bids: hist[uint64]{},
+	}
 }
 
 // Add folds one record into the aggregate.
@@ -842,18 +618,11 @@ func (a *Aggregator) Add(r Record) {
 		p.add(r.Spans)
 	}
 	a.addCrit(r)
-	if r.Fee != nil && a.fees != nil {
-		f := a.fees
-		f.burned += r.Fee.Burned
-		f.tipped += r.Fee.Tipped
-		f.races += r.Fee.Races
-		f.raceWins += r.Fee.RaceWins
-		f.bids += r.Fee.Bids
-		f.bidWins += r.Fee.BidWins
-		f.addSamples(r.Fee.Samples)
+	if og := rep.OrderingGames; og != nil && r.Fee != nil {
+		a.addFees(r.Fee)
 		if r.Committed {
-			f.commits++
-			f.commitFees += r.Fee.DealFees
+			og.CommittedDeals++
+			a.commitFees += r.Fee.DealFees
 		}
 	}
 	for _, v := range r.SafetyViolations {
@@ -903,14 +672,41 @@ func (a *Aggregator) Report() *Report {
 		a.rep.Phases = pb
 	}
 	a.rep.CriticalPath = a.criticalPath()
-	if a.fees != nil {
-		a.rep.OrderingGames = a.fees.orderingGames()
+	if in := a.rep.Interference; in != nil {
+		in.LatencyInflation = a.inflation.Dist()
 	}
-	if a.hedge != nil {
-		a.rep.Hedging = a.hedge.hedging()
+	if og := a.rep.OrderingGames; og != nil {
+		if og.CommittedDeals > 0 {
+			og.FeePerCommit = float64(a.commitFees) / float64(og.CommittedDeals)
+		}
+		og.InclusionDelay = nil
+		a.tips.deciles(func(d int, tip uint64, b histBin) {
+			og.InclusionDelay = append(og.InclusionDelay, TipDecile{
+				Decile: d, MaxTip: tip, Count: b.n,
+				MeanDelay: float64(b.x) / float64(b.n),
+			})
+		})
 	}
-	if a.bundles != nil {
-		a.rep.BundleAuctions = a.bundles.bundleAuctions()
+	if h := a.rep.Hedging; h != nil {
+		h.GrossSoreLoserLoss = a.rep.Interference.SoreLoserLoss
+		h.PremiumByVolDecile = nil
+		a.vols.deciles(func(d int, vol int, b histBin) {
+			vd := VolDecile{Decile: d, MaxVolBps: vol, Binds: b.n}
+			if b.y > 0 {
+				vd.MeanPremiumPct = 100 * float64(b.x) / float64(b.y)
+			}
+			h.PremiumByVolDecile = append(h.PremiumByVolDecile, vd)
+		})
+	}
+	if bl := a.rep.BundleAuctions; bl != nil {
+		bl.VictimExclusionBlocks = a.rep.Interference.VictimExclusionBlocks
+		bl.SlackByBidDecile = nil
+		a.bids.deciles(func(d int, bid uint64, b histBin) {
+			bl.SlackByBidDecile = append(bl.SlackByBidDecile, BidDecile{
+				Decile: d, MaxPerSlot: bid, Wins: b.n,
+				MeanSlackDelta: float64(b.x) / 1000 / float64(b.n),
+			})
+		})
 	}
 	return a.rep
 }
