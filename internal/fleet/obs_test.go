@@ -254,3 +254,55 @@ func TestStageTimingCoversSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaMetricsMatchReport: the arena.* counters and the report
+// blocks are two accounting paths over the same arena tallies; every
+// counter must equal its report field, so neither can drift.
+func TestArenaMetricsMatchReport(t *testing.T) {
+	opts := obsArenaOpts(60, 4)
+	opts.Arena.Bundles = true
+	opts.Arena.Volatility = 0.05
+	reg := obs.NewRegistry()
+	opts.Obs = &ObsOptions{Metrics: reg}
+	rep, err := Sweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := make(map[string]uint64)
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Kind == "counter" {
+			counters[m.Name] = m.Count
+		}
+	}
+	in, og, b := rep.Interference, rep.OrderingGames, rep.BundleAuctions
+	for name, want := range map[string]uint64{
+		"arena.runs":                    uint64(in.Arenas),
+		"arena.deals":                   uint64(rep.Total.Runs),
+		"arena.sore_loser_triggers":     uint64(in.SoreLoserTriggers),
+		"arena.sore_loser_deals":        uint64(in.SoreLoserDeals),
+		"arena.sore_loser_loss":         in.SoreLoserLoss,
+		"arena.front_run_attempts":      uint64(in.FrontRunAttempts),
+		"arena.front_run_wins":          uint64(in.FrontRunWins),
+		"arena.victim_exclusion_blocks": uint64(in.VictimExclusionBlocks),
+		"arena.fee_bid_attempts":        uint64(og.FeeBidAttempts),
+		"arena.fee_bid_wins":            uint64(og.FeeBidWins),
+		"arena.bundle_auctions":         uint64(b.Auctions),
+		"arena.bundle_wins":             uint64(b.Wins),
+		"arena.bundle_defers":           uint64(b.Defers),
+		"arena.exclusion_attempts":      uint64(b.ExclusionAttempts),
+		"arena.exclusion_successes":     uint64(b.ExclusionSuccesses),
+	} {
+		got, ok := counters[name]
+		if !ok {
+			t.Fatalf("counter %s not registered", name)
+		}
+		if got != want {
+			t.Fatalf("counter %s = %d, report says %d", name, got, want)
+		}
+	}
+	for _, name := range []string{"arena.sore_loser_triggers", "arena.bundle_auctions", "arena.front_run_attempts"} {
+		if counters[name] == 0 {
+			t.Fatalf("counter %s is zero; the sweep no longer exercises it", name)
+		}
+	}
+}
