@@ -671,5 +671,5 @@ func runBaseline(opts Options, setup DealSetup) *engine.Result {
 // sameOutcome reports whether two runs of one deal ended the same way:
 // both committed, both aborted, or both neither.
 func sameOutcome(a, b *engine.Result) bool {
-	return b != nil && a.AllCommitted == b.AllCommitted && a.AllAborted == b.AllAborted
+	return a.AllCommitted == b.AllCommitted && a.AllAborted == b.AllAborted
 }
