@@ -151,27 +151,6 @@ func TestGoldenJSONReportBundleArena(t *testing.T) {
 		"-no-baselines", "-workers", "4", "-json")
 }
 
-// TestBundleDeferBudgetGate: an absurdly tight defer-rate budget must
-// trip the gate (exit 1) with a breach message; a generous one passes.
-func TestBundleDeferBudgetGate(t *testing.T) {
-	base := []string{
-		"-arena", "-deals", "40", "-arena-deals", "20", "-chains", "2",
-		"-seed", "7", "-adversary-rate", "0.4", "-feemarket", "-bundles",
-		"-no-baselines", "-workers", "4", "-json"}
-	var stdout, stderr bytes.Buffer
-	if code := run(append(base, "-budget-bundle-defer", "0.0001"), &stdout, &stderr); code != 1 {
-		t.Fatalf("tight defer budget exited %d, want 1\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "bundle defer rate") {
-		t.Fatalf("no breach message: %s", stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(append(base, "-budget-bundle-defer", "0.99"), &stdout, &stderr); code != 0 {
-		t.Fatalf("generous defer budget exited %d, want 0\nstderr: %s", code, stderr.String())
-	}
-}
-
 // TestReportIndependentOfWorkerCount: the golden runs again at a
 // different pool size must produce the identical bytes (the fixture
 // files double as cross-worker-count regression anchors).
@@ -192,28 +171,49 @@ func TestReportIndependentOfWorkerCount(t *testing.T) {
 	}
 }
 
-// TestResidualLossBudgetGate: an absurdly tight residual budget must
-// trip the gate (exit 1) with a breach message; a generous one passes.
-// The sweep hedges at 0.5× collateral, so payouts absorb only half of
-// every stranded deposit and a residual is guaranteed wherever sore
-// losers kill deals (seed 7 at 35% adversaries strands plenty).
-func TestResidualLossBudgetGate(t *testing.T) {
-	base := []string{
-		"-arena", "-deals", "60", "-arena-deals", "20", "-chains", "3",
-		"-seed", "7", "-adversary-rate", "0.35", "-feemarket", "-hedge",
-		"-hedge-collateral", "0.5", "-volatility", "0.05",
-		"-no-baselines", "-workers", "4", "-json"}
-	var stdout, stderr bytes.Buffer
-	if code := run(append(base, "-budget-residual-loss", "0.5"), &stdout, &stderr); code != 1 {
-		t.Fatalf("tight residual budget exited %d, want 1\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "residual sore-loser loss") {
-		t.Fatalf("no breach message: %s", stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(append(base, "-budget-residual-loss", "1e12"), &stdout, &stderr); code != 0 {
-		t.Fatalf("generous residual budget exited %d, want 0\nstderr: %s", code, stderr.String())
+// TestBudgetGates: for every -budget-* gate, an absurdly tight budget
+// must trip it (exit 1) with that gate's breach message, and a generous
+// one must pass (exit 0). The residual-loss sweep hedges at 0.5×
+// collateral, so payouts absorb only half of every stranded deposit and
+// a residual is guaranteed wherever sore losers kill deals (seed 7 at
+// 35% adversaries strands plenty).
+func TestBudgetGates(t *testing.T) {
+	isolated := []string{"-deals", "40", "-seed", "7", "-workers", "4", "-json"}
+	for _, tc := range []struct {
+		name, flag, tight, generous, breach string
+		base                                []string
+	}{
+		{"p99-delta", "-budget-p99-delta", "0.01", "1000", "p99 decision latency", isolated},
+		{"p99-gas", "-budget-p99-gas", "1", "1e12", "p99 gas", isolated},
+		{"fee-per-commit", "-budget-fee-per-commit", "0.5", "1e12", "fee per committed deal",
+			append([]string{"-feemarket"}, isolated...)},
+		{"residual-loss", "-budget-residual-loss", "0.5", "1e12", "residual sore-loser loss", []string{
+			"-arena", "-deals", "60", "-arena-deals", "20", "-chains", "3",
+			"-seed", "7", "-adversary-rate", "0.35", "-feemarket", "-hedge",
+			"-hedge-collateral", "0.5", "-volatility", "0.05",
+			"-no-baselines", "-workers", "4", "-json"}},
+		{"bundle-defer", "-budget-bundle-defer", "0.0001", "0.99", "bundle defer rate", []string{
+			"-arena", "-deals", "40", "-arena-deals", "20", "-chains", "2",
+			"-seed", "7", "-adversary-rate", "0.4", "-feemarket", "-bundles",
+			"-no-baselines", "-workers", "4", "-json"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := func(budget string) (int, string) {
+				var stdout, stderr bytes.Buffer
+				args := append(append([]string{}, tc.base...), tc.flag, budget)
+				return run(args, &stdout, &stderr), stderr.String()
+			}
+			code, stderr := gate(tc.tight)
+			if code != 1 {
+				t.Fatalf("tight %s %s exited %d, want 1\nstderr: %s", tc.flag, tc.tight, code, stderr)
+			}
+			if !strings.Contains(stderr, "BUDGET BREACH: "+tc.breach) {
+				t.Fatalf("no %q breach message: %s", tc.breach, stderr)
+			}
+			if code, stderr := gate(tc.generous); code != 0 {
+				t.Fatalf("generous %s %s exited %d, want 0\nstderr: %s", tc.flag, tc.generous, code, stderr)
+			}
+		})
 	}
 }
 

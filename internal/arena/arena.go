@@ -48,8 +48,6 @@ type Options struct {
 	// Capacity is the contention mechanism: without it, deals sharing a
 	// chain would never slow each other down.
 	MaxBlockTxs int
-	// BlockInterval for the shared chains; defaults to 10 ticks.
-	BlockInterval sim.Duration
 	// Baselines re-runs each deal alone in an isolated world (same
 	// seed, same adversaries, private market) to measure contention-
 	// induced decision-latency inflation. Costs one extra run per deal.
@@ -100,58 +98,54 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-func (o *Options) defaults() error {
+// WithDefaults validates the options and fills in the world defaults
+// no lower layer applies: the timelock protocol, 0.02 volatility, 8
+// transactions per block, and 400-unit tip and bundle budgets. A zero
+// base fee, price tick, hedge collateral or premium window is left for
+// the fee market, NewMarket and hedge.Params.WithDefaults to resolve.
+// Run and NewPopulation apply it themselves; a sweep calls it once up
+// front so bad options fail before any world runs.
+func (o Options) WithDefaults() (Options, error) {
 	switch o.Protocol {
 	case "":
 		o.Protocol = "timelock"
 	case "timelock", "cbc":
 	default:
-		return fmt.Errorf("arena: unknown protocol %q (want timelock or cbc)", o.Protocol)
+		return o, fmt.Errorf("arena: unknown protocol %q (want timelock or cbc)", o.Protocol)
+	}
+	if o.Volatility < 0 {
+		return o, fmt.Errorf("arena: negative volatility %v", o.Volatility)
 	}
 	if o.Volatility == 0 {
 		o.Volatility = 0.02
 	}
-	if o.Volatility < 0 {
-		return fmt.Errorf("arena: negative volatility %v", o.Volatility)
-	}
-	if o.PriceTick <= 0 {
-		o.PriceTick = 100
+	if o.MaxBlockTxs < 0 {
+		return o, fmt.Errorf("arena: negative block capacity %d", o.MaxBlockTxs)
 	}
 	if o.MaxBlockTxs == 0 {
 		o.MaxBlockTxs = 8
-	}
-	if o.BlockInterval <= 0 {
-		o.BlockInterval = 10
-	}
-	if o.BaseFee == 0 {
-		o.BaseFee = 100
 	}
 	if o.TipBudget == 0 {
 		o.TipBudget = 400
 	}
 	if o.Bundles && !o.FeeMarket {
-		return fmt.Errorf("arena: bundles require the fee market (an aggregate bid needs a fee ledger)")
+		return o, fmt.Errorf("arena: bundles require the fee market (an aggregate bid needs a fee ledger)")
 	}
 	if o.BundleBudget == 0 {
 		o.BundleBudget = 400
 	}
 	if o.HedgeCollateral < 0 {
-		return fmt.Errorf("arena: negative hedge collateral %v", o.HedgeCollateral)
+		return o, fmt.Errorf("arena: negative hedge collateral %v", o.HedgeCollateral)
 	}
 	if o.PremiumVolWindow < 0 {
-		return fmt.Errorf("arena: negative premium volatility window %d", o.PremiumVolWindow)
+		return o, fmt.Errorf("arena: negative premium volatility window %d", o.PremiumVolWindow)
 	}
-	if o.HedgeCollateral == 0 {
-		o.HedgeCollateral = 1.0
-	}
-	if o.PremiumVolWindow == 0 {
-		o.PremiumVolWindow = 32
-	}
-	return nil
+	return o, nil
 }
 
-// hedgeParams resolves the hedging configuration, or nil when off.
-func (o Options) hedgeParams() *hedge.Params {
+// HedgeParams returns the hedging contracts' parameters, or nil when
+// Hedge is off. Zero fields take hedge.Params.WithDefaults.
+func (o Options) HedgeParams() *hedge.Params {
 	if !o.Hedge {
 		return nil
 	}
@@ -307,7 +301,8 @@ type Result struct {
 // deterministic: the same (opts, pop) always produces the identical
 // result, bit for bit.
 func Run(opts Options, pop []DealSetup) (*Result, error) {
-	if err := opts.defaults(); err != nil {
+	opts, err := opts.WithDefaults()
+	if err != nil {
 		return nil, err
 	}
 	res := &Result{Outcomes: make([]DealOutcome, len(pop))}
@@ -316,12 +311,11 @@ func Run(opts Options, pop []DealSetup) (*Result, error) {
 	}
 
 	sub := engine.NewSubstrate(engine.SubstrateConfig{
-		Seed:          opts.Seed,
-		BlockInterval: opts.BlockInterval,
-		MaxBlockTxs:   opts.MaxBlockTxs,
-		FeeMarket:     opts.feeConfig(),
-		Hedge:         opts.hedgeParams(),
-		Bundles:       opts.Bundles,
+		Seed:        opts.Seed,
+		MaxBlockTxs: opts.MaxBlockTxs,
+		FeeMarket:   opts.feeConfig(),
+		Hedge:       opts.HedgeParams(),
+		Bundles:     opts.Bundles,
 	})
 	market := NewMarket(sub.Sched, sim.Mix64(opts.Seed^0xa5a5a5a5), opts.PriceTick, opts.Volatility)
 
@@ -603,18 +597,13 @@ func strandedDeposits(w *engine.World, r *engine.Result) uint64 {
 	return total
 }
 
-// engineOptions assembles one deal's engine options for the shared
-// world.
+// engineOptions assembles one deal's engine options. World-level
+// settings travel in the substrate's config, not here.
 func engineOptions(opts Options, setup DealSetup, hooks *party.AdaptiveHooks) engine.Options {
 	eo := engine.Options{
-		Seed:          setup.Seed,
-		Behaviors:     setup.Behaviors,
-		BlockInterval: opts.BlockInterval,
-		MaxBlockTxs:   opts.MaxBlockTxs,
-		LabelPrefix:   setup.Spec.ID + "/",
-		Adaptive:      hooks,
-		Hedge:         opts.hedgeParams(),
-		Bundles:       opts.Bundles,
+		Behaviors:   setup.Behaviors,
+		LabelPrefix: setup.Spec.ID + "/",
+		Adaptive:    hooks,
 	}
 	if opts.Protocol == "cbc" {
 		eo.Protocol = party.ProtoCBC
@@ -653,11 +642,11 @@ func runBaselines(opts Options, pop []DealSetup, res *Result) {
 // does not build.
 func runBaseline(opts Options, setup DealSetup) *engine.Result {
 	sub := engine.NewSubstrate(engine.SubstrateConfig{
-		Seed:          setup.Seed,
-		BlockInterval: opts.BlockInterval,
-		MaxBlockTxs:   opts.MaxBlockTxs,
-		FeeMarket:     opts.feeConfig(),
-		Bundles:       opts.Bundles,
+		Seed:        setup.Seed,
+		MaxBlockTxs: opts.MaxBlockTxs,
+		FeeMarket:   opts.feeConfig(),
+		Hedge:       opts.HedgeParams(),
+		Bundles:     opts.Bundles,
 	})
 	market := NewMarket(sub.Sched, sim.Mix64(opts.Seed^0xa5a5a5a5), opts.PriceTick, opts.Volatility)
 	hooks := &party.AdaptiveHooks{Oracle: market}

@@ -12,7 +12,7 @@ func testPop(t *testing.T, deals int, advRate float64) []DealSetup {
 	t.Helper()
 	pop, err := NewPopulation(PopOptions{
 		Seed: 7, Deals: deals, Chains: 4, AdversaryRate: advRate,
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,17 +127,14 @@ func feeFingerprint(res *Result) string {
 // tip/queue samples across runs — and the per-deal fee attribution sums
 // to no more than the world totals (setup transactions burn the rest).
 func TestFeeMarketArenaDeterministicAndAccounted(t *testing.T) {
+	opts := Options{Seed: 7, FeeMarket: true}
 	mk := func() []DealSetup {
-		pop, err := NewPopulation(PopOptions{
-			Seed: 7, Deals: 30, Chains: 4, AdversaryRate: 0.3,
-			FeeMarket: true, TipBudget: 400,
-		})
+		pop, err := NewPopulation(PopOptions{Seed: 7, Deals: 30, Chains: 4, AdversaryRate: 0.3}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pop
 	}
-	opts := Options{Seed: 7, FeeMarket: true}
 	a, err := Run(opts, mk())
 	if err != nil {
 		t.Fatal(err)
@@ -176,21 +173,18 @@ func TestFeeMarketArenaDeterministicAndAccounted(t *testing.T) {
 // bidders outbid the transactions they race, and tip-ordered blocks
 // honor the bid.
 func TestFeeBidderBeatsPlainRacerOnSameSeeds(t *testing.T) {
-	mk := func(fees bool) []DealSetup {
-		pop, err := NewPopulation(PopOptions{
-			Seed: 7, Deals: 40, Chains: 3, AdversaryRate: 0.35,
-			FeeMarket: fees,
-		})
+	run := func(opts Options) (*Result, error) {
+		pop, err := NewPopulation(PopOptions{Seed: 7, Deals: 40, Chains: 3, AdversaryRate: 0.35}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pop
+		return Run(opts, pop)
 	}
-	fifo, err := Run(Options{Seed: 7}, mk(false))
+	fifo, err := run(Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	market, err := Run(Options{Seed: 7, FeeMarket: true}, mk(true))
+	market, err := run(Options{Seed: 7, FeeMarket: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +215,7 @@ func TestFeeBidderBeatsPlainRacerOnSameSeeds(t *testing.T) {
 func TestSoreLoserAbortNeverViolatesSafety(t *testing.T) {
 	for _, protocol := range []string{"timelock", "cbc"} {
 		t.Run(protocol, func(t *testing.T) {
-			pop, err := NewPopulation(PopOptions{Seed: 11, Deals: 8, Chains: 3, AdversaryRate: 0})
+			pop, err := NewPopulation(PopOptions{Seed: 11, Deals: 8, Chains: 3, AdversaryRate: 0}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,16 +282,17 @@ func TestSoreLoserAbortNeverViolatesSafety(t *testing.T) {
 // this population deal 17 aborts in the shared world but commits alone;
 // its ratio would compare an abort's latency with a commit's.
 func TestLatencyInflationNeedsSameOutcome(t *testing.T) {
-	pop, err := NewPopulation(PopOptions{Seed: 2, Deals: 24, Chains: 2, AdversaryRate: 0.3})
+	opts := Options{Seed: 2, Baselines: true, Volatility: 0.05}
+	pop, err := NewPopulation(PopOptions{Seed: 2, Deals: 24, Chains: 2, AdversaryRate: 0.3}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Seed: 2, Baselines: true, Volatility: 0.05}
 	res, err := Run(opts, pop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := opts.defaults(); err != nil {
+	opts, err = opts.WithDefaults()
+	if err != nil {
 		t.Fatal(err)
 	}
 	flips, samples := 0, 0

@@ -36,15 +36,14 @@ func bundleOptions(seed uint64, bundles bool) Options {
 // sequenceable deals — all-or-nothing inclusion must not starve
 // compliant deals out of their timelock windows.
 func TestBundleArenaAuctionsRunAndDealsStillCommit(t *testing.T) {
+	opts := bundleOptions(11, true)
+	opts.MaxBlockTxs = 4 // tight blocks: bundles must actually contend
 	pop, err := NewPopulation(PopOptions{
-		Seed: 11, Deals: 12, Chains: 2, AdversaryRate: 0,
-		StartGap: 25, FeeMarket: true, Bundles: true,
-	})
+		Seed: 11, Deals: 12, Chains: 2, AdversaryRate: 0, StartGap: 25,
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := bundleOptions(11, true)
-	opts.MaxBlockTxs = 4 // tight blocks: bundles must actually contend
 	res, err := Run(opts, pop)
 	if err != nil {
 		t.Fatal(err)
@@ -74,18 +73,15 @@ func TestBundleArenaAuctionsRunAndDealsStillCommit(t *testing.T) {
 // TestBundleArenaDeterministic: a bundled fee-market arena remains a
 // pure function of its options, auction ledgers included.
 func TestBundleArenaDeterministic(t *testing.T) {
+	opts := bundleOptions(7, true)
+	opts.Hedge = true
 	mk := func() []DealSetup {
-		pop, err := NewPopulation(PopOptions{
-			Seed: 7, Deals: 18, Chains: 2, AdversaryRate: 0.35,
-			FeeMarket: true, Bundles: true, Hedged: true,
-		})
+		pop, err := NewPopulation(PopOptions{Seed: 7, Deals: 18, Chains: 2, AdversaryRate: 0.35}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pop
 	}
-	opts := bundleOptions(7, true)
-	opts.Hedge = true
 	a, err := Run(opts, mk())
 	if err != nil {
 		t.Fatal(err)
@@ -102,20 +98,18 @@ func TestBundleArenaDeterministic(t *testing.T) {
 	}
 }
 
-// TestBundlePopulationIsSeedTwin: the Bundles flag must not consume
+// TestBundlePopulationIsSeedTwin: the Bundles option must not consume
 // randomness — the bundle population's shapes, specs, start offsets,
 // and adversary draw are identical to its tx-level twin's, differing
 // only in the front-runner slot's granularity upgrade (fee bidder ->
 // bundle griefer).
 func TestBundlePopulationIsSeedTwin(t *testing.T) {
-	base := PopOptions{Seed: 13, Deals: 24, Chains: 4, AdversaryRate: 0.4, FeeMarket: true}
-	txLevel, err := NewPopulation(base)
+	base := PopOptions{Seed: 13, Deals: 24, Chains: 4, AdversaryRate: 0.4}
+	txLevel, err := NewPopulation(base, Options{FeeMarket: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundleOpts := base
-	bundleOpts.Bundles = true
-	bundled, err := NewPopulation(bundleOpts)
+	bundled, err := NewPopulation(base, Options{FeeMarket: true, Bundles: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +157,12 @@ func TestBundlePopulationIsSeedTwin(t *testing.T) {
 // slot footprint at once.
 func TestBundleGrieferExcludesMoreThanFeeBidder(t *testing.T) {
 	run := func(bundles bool) *Result {
-		pop, err := NewPopulation(PopOptions{
-			Seed: 7, Deals: 20, Chains: 2, AdversaryRate: 0.4,
-			FeeMarket: true, Bundles: bundles,
-		})
+		opts := bundleOptions(7, bundles)
+		opts.MaxBlockTxs = 4
+		pop, err := NewPopulation(PopOptions{Seed: 7, Deals: 20, Chains: 2, AdversaryRate: 0.4}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := bundleOptions(7, bundles)
-		opts.MaxBlockTxs = 4
 		res, err := Run(opts, pop)
 		if err != nil {
 			t.Fatal(err)
@@ -207,16 +198,15 @@ func TestBundleGrieferExcludesMoreThanFeeBidder(t *testing.T) {
 // actually produces streaked binds and prices them higher than their
 // zero-streak floor.
 func TestBundleLossStreakSurchargesPremiums(t *testing.T) {
-	pop, err := NewPopulation(PopOptions{
-		Seed: 5, Deals: 16, Chains: 2, AdversaryRate: 0.35,
-		StartGap: 25, FeeMarket: true, Bundles: true, Hedged: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := bundleOptions(5, true)
 	opts.Hedge = true
 	opts.MaxBlockTxs = 4
+	pop, err := NewPopulation(PopOptions{
+		Seed: 5, Deals: 16, Chains: 2, AdversaryRate: 0.35, StartGap: 25,
+	}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := Run(opts, pop)
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ type PopOptions struct {
 	// Deals is the number of deals sharing the world.
 	Deals int
 	// Chains is the number of shared chains the deals' assets are
-	// remapped onto; defaults to 4.
+	// remapped onto; must be positive.
 	Chains int
 	// MaxParties caps per-deal size; defaults to 5, minimum 3.
 	MaxParties int
@@ -38,37 +38,6 @@ type PopOptions struct {
 	// StartGap staggers deal starts: deal k starts about k·StartGap
 	// after the arena opens. Defaults to 50 ticks.
 	StartGap sim.Duration
-	// FeeMarket upgrades the adversary mix for fee-market worlds: the
-	// front-runner slot of the mix becomes a fee bidder with TipBudget
-	// to spend on outbidding victims. The flag consumes no randomness,
-	// so a population differs from its FIFO twin only in that upgrade —
-	// the same parties race, bidding instead of merely reacting, which
-	// is what makes the two strategies' win rates comparable seed for
-	// seed.
-	FeeMarket bool
-	// TipBudget is each fee bidder's total tip spend cap (default 400).
-	TipBudget uint64
-	// Bundles upgrades the adversary mix for bundled worlds: the
-	// front-runner slot becomes a bundle-griefing adversary (with
-	// BundleBudget to spend on outbidding victims' whole bundles)
-	// instead of a single-tx fee bidder. Like FeeMarket and Hedged,
-	// the flag consumes no randomness, so a bundle population is the
-	// field-by-field seed-twin of its tx-level run — the same parties
-	// grief, at bundle granularity instead of tx granularity, which is
-	// what makes the two exclusion rates comparable seed for seed.
-	Bundles bool
-	// BundleBudget is each bundle griefer's total per-slot bid
-	// increment cap (default 400).
-	BundleBudget uint64
-	// Hedged upgrades the compliant mix slots to hedged parties: every
-	// party the adversary draw leaves compliant insures its deposits
-	// (Behavior.Hedged) instead of locking them bare. Like FeeMarket,
-	// the flag consumes no randomness, so a hedged population is the
-	// seed-twin of its unhedged run — the same sore losers attack the
-	// same deals, and the only difference is whether the victims carry
-	// cover. That twin-ness is what makes hedged-vs-unhedged residual
-	// loss comparable seed for seed.
-	Hedged bool
 }
 
 // DealSetup is one fully specified deal of an arena population. Spec.T0
@@ -93,7 +62,7 @@ func (o *PopOptions) defaults() error {
 		return fmt.Errorf("arena: adversary rate %v outside [0, 1]", o.AdversaryRate)
 	}
 	if o.Chains <= 0 {
-		o.Chains = 4
+		return fmt.Errorf("arena: chain count %d must be positive", o.Chains)
 	}
 	if o.MaxParties <= 0 {
 		o.MaxParties = 5
@@ -104,39 +73,44 @@ func (o *PopOptions) defaults() error {
 	if o.StartGap <= 0 {
 		o.StartGap = 50
 	}
-	if o.TipBudget == 0 {
-		o.TipBudget = 400
-	}
-	if o.BundleBudget == 0 {
-		o.BundleBudget = 400
-	}
 	return nil
 }
 
-// NewPopulation synthesizes a population of deals sharing opts.Chains
-// chains. It is a pure function of opts: the same options always yield
-// the identical population, which is what makes flagged arena deals
-// replayable from (seed, index) alone.
-func NewPopulation(opts PopOptions) ([]DealSetup, error) {
-	if err := opts.defaults(); err != nil {
+// NewPopulation synthesizes a population of deals sharing pop.Chains
+// chains, for the world configured by world. The world's fee market,
+// bundles and hedging shape the adversary mix:
+//
+//   - FeeMarket turns the front-runner slot into a fee bidder with
+//     TipBudget to spend outbidding its victims' transactions;
+//   - Bundles (with FeeMarket) makes that slot a bundle griefer with
+//     BundleBudget to spend outbidding its victims' whole bundles;
+//   - Hedge makes every party the adversary draw leaves compliant
+//     insure its deposits (Behavior.Hedged).
+//
+// None of these consumes randomness, so a population is the seed twin
+// of its FIFO, unbundled, unhedged run: the same parties race, grief
+// and back out, which is what makes the strategies' win rates and the
+// hedged-vs-unhedged residual loss comparable seed for seed.
+//
+// NewPopulation is a pure function of its options: the same options
+// always yield the identical population, which is what makes flagged
+// arena deals replayable from (seed, index) alone.
+func NewPopulation(pop PopOptions, world Options) ([]DealSetup, error) {
+	if err := pop.defaults(); err != nil {
 		return nil, err
 	}
-	pop := make([]DealSetup, opts.Deals)
-	for k := range pop {
-		pop[k] = synthDeal(opts, k)
+	world, err := world.WithDefaults()
+	if err != nil {
+		return nil, err
 	}
-	return pop, nil
+	setups := make([]DealSetup, pop.Deals)
+	for k := range setups {
+		setups[k] = synthDeal(pop, world, k)
+	}
+	return setups, nil
 }
 
-// SynthDeal regenerates deal k of the population (replay path).
-func SynthDeal(opts PopOptions, k int) (DealSetup, error) {
-	if err := opts.defaults(); err != nil {
-		return DealSetup{}, err
-	}
-	return synthDeal(opts, k), nil
-}
-
-func synthDeal(opts PopOptions, k int) DealSetup {
+func synthDeal(opts PopOptions, world Options, k int) DealSetup {
 	seed := sim.Mix64(opts.Seed ^ sim.Mix64(uint64(k)+0x9e3779b97f4a7c15))
 	rng := sim.NewRNG(seed)
 	setup := DealSetup{Index: k, Seed: seed}
@@ -195,7 +169,7 @@ func synthDeal(opts PopOptions, k int) DealSetup {
 	setup.Behaviors = make(map[chain.Addr]party.Behavior)
 	for _, p := range setup.Spec.Parties {
 		if !rng.Bool(opts.AdversaryRate) {
-			if opts.Hedged {
+			if world.Hedge {
 				// The compliant slot hedges its deposits. Consumes no
 				// randomness and does not count as an adversary.
 				setup.Behaviors[p] = party.Behavior{Hedged: true}
@@ -208,16 +182,16 @@ func synthDeal(opts PopOptions, k int) DealSetup {
 			b = party.Behavior{SoreLoserThreshold: 0.02 + 0.10*rng.Float64()}
 		case q < 0.60:
 			b = party.Behavior{FrontRun: true}
-			if opts.FeeMarket {
-				if opts.Bundles {
+			if world.FeeMarket {
+				if world.Bundles {
 					// Bundled worlds swap the ordering-game granularity:
 					// the same slot griefs whole bundles instead of
 					// outbidding single transactions.
 					b.BundleGrief = true
-					b.BundleBudget = opts.BundleBudget
+					b.BundleBudget = world.BundleBudget
 				} else {
 					b.FeeBid = true
-					b.FeeBudget = opts.TipBudget
+					b.FeeBudget = world.TipBudget
 				}
 			}
 		case q < 0.80:

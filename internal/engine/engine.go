@@ -36,7 +36,11 @@ import (
 	"xdeal/internal/trace"
 )
 
-// Options configures a world build.
+// Options configures a world build. The world-level fields — Seed,
+// BlockInterval, Delays, Outages, MaxBlockTxs, FeeMarket, Hedge and
+// Bundles — configure only the private substrate Build creates; BuildOn
+// ignores them and takes those settings from its SubstrateConfig, so
+// every deal on a shared substrate sees the same world.
 type Options struct {
 	Seed     uint64
 	Protocol party.Protocol
@@ -197,6 +201,8 @@ type World struct {
 
 	opts Options
 	keys map[string]sig.KeyPair
+	// blockInterval is the substrate's block interval.
+	blockInterval sim.Duration
 
 	// outageBeyondDelta is the longest configured DoS window on any of
 	// this deal's chains that exceeds the spec's Δ — the condition under
@@ -257,9 +263,6 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			return nil, err
 		}
 	}
-	if opts.BlockInterval <= 0 {
-		opts.BlockInterval = s.cfg.BlockInterval
-	}
 	sched := s.Sched
 
 	w := &World{
@@ -272,6 +275,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		Managers:        make(map[string]EscrowInspector),
 		Hedges:          make(map[string]*hedge.Manager),
 		opts:            opts,
+		blockInterval:   s.cfg.BlockInterval,
 		keys:            make(map[string]sig.KeyPair),
 		initialFungible: make(map[chain.Addr]map[string]uint64),
 		initialTokens:   make(map[string]map[string]chain.Addr),
@@ -284,9 +288,6 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 	// the synchrony-assumption breach checkSafety annotates (§5).
 	for _, a := range spec.Escrows() {
 		if o, ok := s.cfg.Outages[a.Chain]; ok && o.Until-o.From > spec.Delta && o.Until-o.From > w.outageBeyondDelta {
-			w.outageBeyondDelta = o.Until - o.From
-		}
-		if o, ok := opts.Outages[a.Chain]; ok && o.Until-o.From > spec.Delta && o.Until-o.From > w.outageBeyondDelta {
 			w.outageBeyondDelta = o.Until - o.From
 		}
 	}
@@ -381,10 +382,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 	// managers themselves. Premiums are priced off the hosting chain's
 	// realized base-fee volatility, so insurance on a congested chain
 	// costs more.
-	hp := opts.Hedge
-	if hp == nil {
-		hp = s.cfg.Hedge
-	}
+	hp := s.cfg.Hedge
 	if hp != nil {
 		resolved := hp.WithDefaults()
 		for _, a := range spec.Escrows() {
@@ -424,7 +422,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		}
 		w.CBC = cbc.New(cbc.Config{
 			Tag: "cbc/" + spec.ID, F: f,
-			BlockInterval: opts.BlockInterval,
+			BlockInterval: s.cfg.BlockInterval,
 			Delays:        cbcDelays,
 			Schedule:      gas.DefaultSchedule(),
 			Censor:        opts.Censor,
@@ -476,7 +474,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		fees = party.DeadlineFee{Start: 1, Max: 16}
 	}
 	var bundleCfg *party.BundleConfig
-	if (opts.Bundles || s.cfg.Bundles) && s.cfg.FeeMarket != nil {
+	if s.cfg.Bundles && s.cfg.FeeMarket != nil {
 		// The compliant bundle strategy mirrors the DeadlineFee default
 		// at bundle granularity: the deal's per-slot bid escalates as
 		// the timelock deadline approaches, and re-escalates on every
@@ -743,7 +741,7 @@ func (w *World) Start() {
 	if w.opts.Reconfigurations > 0 && w.CBC != nil {
 		// Reconfigure mid-deal, spaced across the early protocol.
 		for i := 1; i <= w.opts.Reconfigurations; i++ {
-			w.Sched.After(sim.Duration(i)*w.opts.BlockInterval*3, w.CBC.Reconfigure)
+			w.Sched.After(sim.Duration(i)*w.blockInterval*3, w.CBC.Reconfigure)
 		}
 	}
 }

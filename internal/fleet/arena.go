@@ -60,32 +60,11 @@ func (o *ArenaOptions) defaults() error {
 	if o.Chains < 0 {
 		return fmt.Errorf("fleet: negative chain count %d", o.Chains)
 	}
-	if o.Volatility < 0 {
-		return fmt.Errorf("fleet: negative volatility %v", o.Volatility)
-	}
-	if o.MaxBlockTxs < 0 {
-		return fmt.Errorf("fleet: negative block capacity %d", o.MaxBlockTxs)
-	}
-	if o.HedgeCollateral < 0 {
-		return fmt.Errorf("fleet: negative hedge collateral %v", o.HedgeCollateral)
-	}
-	if o.PremiumVolWindow < 0 {
-		return fmt.Errorf("fleet: negative premium volatility window %d", o.PremiumVolWindow)
-	}
 	if o.DealsPerArena == 0 {
 		o.DealsPerArena = 25
 	}
 	if o.Chains == 0 {
 		o.Chains = 4
-	}
-	if o.BundleBudget == 0 {
-		o.BundleBudget = 400
-	}
-	if o.HedgeCollateral == 0 {
-		o.HedgeCollateral = 1.0
-	}
-	if o.PremiumVolWindow == 0 {
-		o.PremiumVolWindow = 32
 	}
 	return nil
 }
@@ -94,58 +73,33 @@ func (o *ArenaOptions) defaults() error {
 // single-protocol worlds: all deals at one escrow contract must share
 // commit machinery, so "mixed" alternates whole arenas between the two
 // protocols instead of mixing within one.
-func arenaProtocol(mix string, arenaIdx int) (string, error) {
-	switch mix {
-	case "timelock", "cbc":
-		return mix, nil
-	case "", "mixed":
-		if arenaIdx%2 == 1 {
-			return "cbc", nil
-		}
-		return "timelock", nil
-	default:
-		return "", fmt.Errorf("fleet: unknown protocol %q (want timelock, cbc, or mixed)", mix)
+func arenaProtocol(mix string, arenaIdx int) string {
+	if mix == "timelock" || mix == "cbc" {
+		return mix
 	}
+	if arenaIdx%2 == 1 {
+		return "cbc"
+	}
+	return "timelock"
 }
 
-// ArenaPopulation synthesizes the population of arena a: count deals
-// sharing ao.Chains chains, with this generator's adversary rate and
-// size cap. Pure in (generator options, a), so any flagged deal can be
-// regenerated for replay from its printed index alone.
-func (g *Generator) ArenaPopulation(a, count int, ao ArenaOptions) ([]arena.DealSetup, error) {
+// arenaSweep is an arena sweep's configuration, resolved once: the
+// generator, the defaulted fleet options, and the world options every
+// arena shares. Each arena adds only its own seed and protocol.
+type arenaSweep struct {
+	gen   *Generator
+	ao    ArenaOptions
+	world arena.Options
+}
+
+// resolveArena validates and resolves ao against this generator's
+// options, so a bad world fails before any arena runs — even in an
+// empty sweep.
+func (g *Generator) resolveArena(ao ArenaOptions) (*arenaSweep, error) {
 	if err := ao.defaults(); err != nil {
 		return nil, err
 	}
-	return arena.NewPopulation(g.arenaPopOptions(a, count, ao))
-}
-
-func (g *Generator) arenaPopOptions(a, count int, ao ArenaOptions) arena.PopOptions {
-	po := arena.PopOptions{
-		Seed:          sim.Mix64(g.opts.Seed ^ sim.Mix64(uint64(a)+0x51ed270b941a9e37)),
-		Deals:         count,
-		Chains:        ao.Chains,
-		MaxParties:    g.opts.MaxParties,
-		AdversaryRate: g.opts.AdversaryRate,
-	}
-	if f := g.opts.Fees; f != nil {
-		po.FeeMarket = true
-		po.TipBudget = f.TipBudget
-	}
-	po.Bundles = ao.Bundles
-	po.BundleBudget = ao.BundleBudget
-	po.Hedged = ao.Hedge
-	return po
-}
-
-// arenaRunOptions assembles one arena's world options.
-func arenaRunOptions(gen GenOptions, ao ArenaOptions, arenaIdx int) (arena.Options, error) {
-	proto, err := arenaProtocol(gen.Protocol, arenaIdx)
-	if err != nil {
-		return arena.Options{}, err
-	}
-	o := arena.Options{
-		Seed:             sim.Mix64(gen.Seed ^ sim.Mix64(uint64(arenaIdx)+0x7fb5d329728ea185)),
-		Protocol:         proto,
+	world := arena.Options{
 		Volatility:       ao.Volatility,
 		MaxBlockTxs:      ao.MaxBlockTxs,
 		Baselines:        ao.Baselines,
@@ -155,33 +109,62 @@ func arenaRunOptions(gen GenOptions, ao ArenaOptions, arenaIdx int) (arena.Optio
 		HedgeCollateral:  ao.HedgeCollateral,
 		PremiumVolWindow: ao.PremiumVolWindow,
 	}
-	if f := gen.Fees; f != nil {
-		o.FeeMarket = true
-		o.BaseFee = f.BaseFee
-		o.TipBudget = f.TipBudget
+	if f := g.opts.Fees; f != nil {
+		world.FeeMarket = true
+		world.BaseFee = f.BaseFee
+		world.TipBudget = f.TipBudget
 	}
-	return o, nil
+	world, err := world.WithDefaults()
+	if err != nil {
+		return nil, err
+	}
+	return &arenaSweep{gen: g, ao: ao, world: world}, nil
 }
 
-// runArena synthesizes and executes arena a of a totalDeals population.
+// ArenaPopulation synthesizes the population of arena a: count deals
+// sharing ao.Chains chains, with this generator's adversary rate and
+// size cap. Pure in (generator options, a), so any flagged deal can be
+// regenerated for replay from its printed index alone.
+func (g *Generator) ArenaPopulation(a, count int, ao ArenaOptions) ([]arena.DealSetup, error) {
+	s, err := g.resolveArena(ao)
+	if err != nil {
+		return nil, err
+	}
+	return s.population(a, count)
+}
+
+// population synthesizes arena a's count deals for the sweep's world.
+func (s *arenaSweep) population(a, count int) ([]arena.DealSetup, error) {
+	return arena.NewPopulation(arena.PopOptions{
+		Seed:          sim.Mix64(s.gen.opts.Seed ^ sim.Mix64(uint64(a)+0x51ed270b941a9e37)),
+		Deals:         count,
+		Chains:        s.ao.Chains,
+		MaxParties:    s.gen.opts.MaxParties,
+		AdversaryRate: s.gen.opts.AdversaryRate,
+	}, s.world)
+}
+
+// options returns arena a's world options.
+func (s *arenaSweep) options(a int) arena.Options {
+	o := s.world
+	o.Seed = sim.Mix64(s.gen.opts.Seed ^ sim.Mix64(uint64(a)+0x7fb5d329728ea185))
+	o.Protocol = arenaProtocol(s.gen.opts.Protocol, a)
+	return o
+}
+
+// run synthesizes and executes arena a of a totalDeals population.
 // Both the sweep and the replay path go through here, so a flagged deal
 // is guaranteed to replay inside the identical world. A non-nil metrics
 // registry receives the arena's substrate and interference counters.
-func runArena(gen *Generator, genOpts GenOptions, ao ArenaOptions, a, totalDeals int, metrics *obs.Registry) (*arena.Result, error) {
-	count := ao.DealsPerArena
-	if rest := totalDeals - a*ao.DealsPerArena; rest < count {
-		count = rest
-	}
-	pop, err := gen.ArenaPopulation(a, count, ao)
+func (s *arenaSweep) run(a, totalDeals int, metrics *obs.Registry) (*arena.Result, error) {
+	count := min(s.ao.DealsPerArena, totalDeals-a*s.ao.DealsPerArena)
+	pop, err := s.population(a, count)
 	if err != nil {
 		return nil, err
 	}
-	ropts, err := arenaRunOptions(genOpts, ao, a)
-	if err != nil {
-		return nil, err
-	}
-	ropts.Metrics = metrics
-	return arena.Run(ropts, pop)
+	o := s.options(a)
+	o.Metrics = metrics
+	return arena.Run(o, pop)
 }
 
 // sweepArenas executes an arena-mode sweep: ceil(Deals/DealsPerArena)
@@ -189,18 +172,15 @@ func runArena(gen *Generator, genOpts GenOptions, ao ArenaOptions, a, totalDeals
 // order. Each arena is a deterministic single-threaded simulation, so
 // the report never depends on the worker count.
 func sweepArenas(opts Options) (*Report, error) {
-	ao := *opts.Arena
-	if err := ao.defaults(); err != nil {
-		return nil, err
-	}
 	gen, err := NewGenerator(opts.Gen)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := arenaProtocol(opts.Gen.Protocol, 0); err != nil {
+	s, err := gen.resolveArena(*opts.Arena)
+	if err != nil {
 		return nil, err
 	}
-	nArenas := (opts.Deals + ao.DealsPerArena - 1) / ao.DealsPerArena
+	nArenas := (opts.Deals + s.ao.DealsPerArena - 1) / s.ao.DealsPerArena
 	stages := opts.Obs.stages()
 	results := make([]*arena.Result, nArenas)
 	var shards []*obs.Registry
@@ -216,7 +196,7 @@ func sweepArenas(opts Options) (*Report, error) {
 		if shards != nil {
 			reg = shards[a]
 		}
-		res, err := runArena(gen, opts.Gen, ao, a, opts.Deals, reg)
+		res, err := s.run(a, opts.Deals, reg)
 		if err != nil {
 			return err
 		}
@@ -238,12 +218,12 @@ func sweepArenas(opts Options) (*Report, error) {
 	if f := gen.opts.Fees; f != nil {
 		agg.EnableFees(f.BaseFee, f.TipBudget)
 	}
-	agg.EnableArena(ao)
+	agg.EnableArena(s.ao.Chains, s.world)
 	agg.EnableObs(opts.Obs.metrics(), opts.Obs.flight())
 	for a, res := range results {
-		proto, _ := arenaProtocol(opts.Gen.Protocol, a)
+		proto := arenaProtocol(gen.opts.Protocol, a)
 		for _, out := range res.Outcomes {
-			agg.Add(arenaRecord(a*ao.DealsPerArena+out.Index, proto, out, feesOn))
+			agg.Add(arenaRecord(a*s.ao.DealsPerArena+out.Index, proto, out, feesOn))
 		}
 		agg.AddArena(res)
 	}
@@ -258,10 +238,6 @@ func ReplayArenaDeal(opts Options, index int) (*arena.DealOutcome, error) {
 	if opts.Arena == nil {
 		return nil, fmt.Errorf("fleet: ReplayArenaDeal without arena options")
 	}
-	ao := *opts.Arena
-	if err := ao.defaults(); err != nil {
-		return nil, err
-	}
 	if err := inPopulation(index, opts.Deals); err != nil {
 		return nil, err
 	}
@@ -269,12 +245,16 @@ func ReplayArenaDeal(opts Options, index int) (*arena.DealOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := index / ao.DealsPerArena
-	res, err := runArena(gen, opts.Gen, ao, a, opts.Deals, nil)
+	s, err := gen.resolveArena(*opts.Arena)
 	if err != nil {
 		return nil, err
 	}
-	out := res.Outcomes[index-a*ao.DealsPerArena]
+	a := index / s.ao.DealsPerArena
+	res, err := s.run(a, opts.Deals, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := res.Outcomes[index-a*s.ao.DealsPerArena]
 	return &out, nil
 }
 
@@ -283,33 +263,14 @@ func ReplayArenaDeal(opts Options, index int) (*arena.DealOutcome, error) {
 // maps straight back to (arena, deal) for replay; gas is the deal's
 // label-attributed share of the shared chains.
 func arenaRecord(globalIndex int, protocol string, out arena.DealOutcome, feesOn bool) Record {
-	r := out.Result
-	rec := Record{
+	rec := newRecord(Record{
 		Index:        globalIndex,
 		Seed:         out.Seed,
-		SpecID:       out.Spec.ID,
 		Shape:        out.Shape,
 		Protocol:     protocol,
-		Parties:      len(out.Spec.Parties),
-		Escrows:      len(out.Spec.Escrows()),
-		Transfers:    len(out.Spec.Transfers),
 		Adversaries:  out.Adversaries,
 		Sequenceable: out.Sequenceable,
-
-		Committed: r.AllCommitted,
-		Aborted:   r.AllAborted,
-		Atomic:    r.Atomic(),
-
-		SafetyViolations:   r.SafetyViolations,
-		LivenessViolations: r.LivenessViolations,
-
-		Gas:       r.DealGas,
-		CBCGas:    r.CBCGas,
-		DeltaTime: out.ArenaDelta,
-		EndedAt:   int64(r.EndedAt),
-		Spans:     newPhaseSpans(r.Phases, out.Spec.Delta),
-		CritPath:  newCritPathRecord(r.Attribution),
-	}
+	}, out.Spec, out.Result)
 	if feesOn {
 		// Per-deal fee attribution only; world totals, samples, and
 		// race counters fold once per arena from the arena result.

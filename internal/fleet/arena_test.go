@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"xdeal/internal/arena"
 	"xdeal/internal/sim"
 )
 
@@ -130,6 +131,99 @@ func TestFleetArenaReplayDeterministic(t *testing.T) {
 	if _, err := ReplayArenaDeal(Options{Deals: 10, Gen: GenOptions{Seed: 1}}, 0); err == nil {
 		t.Fatal("arena replay without arena options accepted")
 	}
+}
+
+// TestArenaSweepRejectsBadWorldAtAnySize: the sweep resolves its world
+// options before any arena runs, so a world the arena refuses fails an
+// empty sweep exactly as it fails a populated one.
+func TestArenaSweepRejectsBadWorldAtAnySize(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		arena ArenaOptions
+	}{
+		{"bundles-without-fees", ArenaOptions{Bundles: true}},
+		{"negative-volatility", ArenaOptions{Volatility: -0.1}},
+		{"negative-block-capacity", ArenaOptions{MaxBlockTxs: -1}},
+	} {
+		for _, deals := range []int{0, 5} {
+			ao := tc.arena
+			_, err := Sweep(Options{Deals: deals, Workers: 1, Gen: GenOptions{Seed: 1}, Arena: &ao})
+			if err == nil || !strings.HasPrefix(err.Error(), "arena: ") {
+				t.Errorf("%s at %d deals: err = %v, want an arena: error", tc.name, deals, err)
+			}
+		}
+	}
+}
+
+// TestBenchmarkArenaOptionsMatchFleet: the repo benchmark runs
+// arena.Run itself with only Seed, Protocol, FeeMarket, Bundles and
+// Hedge set, relying on arena's defaults to give the world a fleet
+// sweep resolves. For the benchmark's two arena shapes, on world 0
+// (timelock) and world 1 (CBC), both option sets must produce identical
+// outcomes and interference. DealsPerArena never reaches arena.Options,
+// so a 30-deal population stands in for the benchmark's full worlds.
+func TestBenchmarkArenaOptionsMatchFleet(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fees *FeeOptions
+		ao   ArenaOptions
+	}{
+		{"fifo", nil, ArenaOptions{DealsPerArena: 400, Chains: 4}},
+		{"market", &FeeOptions{}, ArenaOptions{DealsPerArena: 50, Chains: 4, Bundles: true, Hedge: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const seed = 3
+			gen, err := NewGenerator(GenOptions{
+				Seed: seed, Protocol: "mixed", AdversaryRate: 0.3, DoSRate: 0.15, MaxParties: 6, Fees: tc.fees,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := gen.resolveArena(tc.ao)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a, proto := range []string{"timelock", "cbc"} {
+				pop, err := gen.ArenaPopulation(a, 30, tc.ao)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// What benchmark/layers.go's arenaOptions builds.
+				bench := arena.Options{
+					Seed:      sim.Mix64(seed ^ sim.Mix64(uint64(a)+0x7fb5d329728ea185)),
+					Protocol:  proto,
+					FeeMarket: tc.fees != nil,
+					Bundles:   tc.ao.Bundles,
+					Hedge:     tc.ao.Hedge,
+				}
+				want, err := arena.Run(s.options(a), pop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := arena.Run(bench, pop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w, g := arenaFingerprint(want), arenaFingerprint(got); w != g {
+					t.Fatalf("world %d (%s): benchmark options diverge from fleet's:\n--- fleet ---\n%s\n--- benchmark ---\n%s",
+						a, proto, w, g)
+				}
+			}
+		})
+	}
+}
+
+// arenaFingerprint renders an arena result's interference and every
+// deal's outcome.
+func arenaFingerprint(res *arena.Result) string {
+	s := fmt.Sprintf("%+v\n", res.Interference)
+	for _, out := range res.Outcomes {
+		s += fmt.Sprintf("deal %d %s delta=%v sore=%d races=%d bundles=%d/%d fees=%d stranded=%d hedge=%d/%d\n%s",
+			out.Index, out.Spec.ID, out.ArenaDelta, out.SoreLosers, out.FrontRuns,
+			out.BundleWins, out.BundleDefers, out.Fees, out.Stranded, out.Premiums, out.Payouts,
+			out.Result.Summary())
+	}
+	return s
 }
 
 // TestFleetSweepStreamsIdenticalToBatch: Sweep's streaming fold (chunked

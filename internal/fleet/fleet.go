@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 
+	"xdeal/internal/deal"
 	"xdeal/internal/engine"
 	"xdeal/internal/obs"
 )
@@ -115,35 +116,41 @@ type Record struct {
 	Err string `json:"error,omitempty"`
 }
 
-// record evaluates one engine result into a Record.
+// newRecord evaluates one finished deal run into a Record. head
+// carries the run's identity (index, seed, shape, protocol, adversary
+// count, outage, sequenceability); newRecord adds the spec's size and
+// the outcome. Gas is the deal's own: in a private world DealGas is
+// the whole world's gas, on a shared substrate its labelled share.
+func newRecord(head Record, spec *deal.Spec, r *engine.Result) Record {
+	head.SpecID = spec.ID
+	head.Parties = len(spec.Parties)
+	head.Escrows = len(spec.Escrows())
+	head.Transfers = len(spec.Transfers)
+	head.Committed = r.AllCommitted
+	head.Aborted = r.AllAborted
+	head.Atomic = r.Atomic()
+	head.SafetyViolations = r.SafetyViolations
+	head.LivenessViolations = r.LivenessViolations
+	head.Gas = r.DealGas
+	head.CBCGas = r.CBCGas
+	head.DeltaTime = r.Phases.InDelta(r.Phases.DecisionEnd, spec.Delta)
+	head.EndedAt = int64(r.EndedAt)
+	head.Spans = newPhaseSpans(r.Phases, spec.Delta)
+	head.CritPath = newCritPathRecord(r.Attribution)
+	return head
+}
+
+// record evaluates one isolated job's engine result into a Record.
 func record(job Job, r *engine.Result) Record {
-	rec := Record{
+	rec := newRecord(Record{
 		Index:        job.Index,
 		Seed:         job.Seed,
-		SpecID:       job.Spec.ID,
 		Shape:        job.Shape,
 		Protocol:     job.Opts.Protocol.String(),
-		Parties:      len(job.Spec.Parties),
-		Escrows:      len(job.Spec.Escrows()),
-		Transfers:    len(job.Spec.Transfers),
 		Adversaries:  job.Adversaries,
 		Outage:       job.Outage,
 		Sequenceable: job.Sequenceable,
-
-		Committed: r.AllCommitted,
-		Aborted:   r.AllAborted,
-		Atomic:    r.Atomic(),
-
-		SafetyViolations:   r.SafetyViolations,
-		LivenessViolations: r.LivenessViolations,
-
-		Gas:       r.Gas.Used(),
-		CBCGas:    r.CBCGas,
-		DeltaTime: r.Phases.InDelta(r.Phases.DecisionEnd, job.Spec.Delta),
-		EndedAt:   int64(r.EndedAt),
-		Spans:     newPhaseSpans(r.Phases, job.Spec.Delta),
-		CritPath:  newCritPathRecord(r.Attribution),
-	}
+	}, job.Spec, r)
 	if r.Fees != nil {
 		fee := &FeeRecord{
 			DealFees: r.DealFees,

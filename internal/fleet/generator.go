@@ -186,9 +186,7 @@ func (g *Generator) Job(i int) Job {
 	// ordering-games report.
 	if f := g.opts.Fees; f != nil {
 		opts.FeeMarket = &feemarket.Config{Initial: f.BaseFee}
-		if opts.MaxBlockTxs == 0 {
-			opts.MaxBlockTxs = 8
-		}
+		opts.MaxBlockTxs = 8
 		tally := &raceTally{}
 		job.races = tally
 		opts.Adaptive = &party.AdaptiveHooks{

@@ -485,17 +485,18 @@ func (a *Aggregator) EnableFees(baseFee, tipBudget uint64) {
 	a.rep.OrderingGames = &OrderingGames{BaseFee: baseFee, TipBudget: tipBudget}
 }
 
-// EnableArena arms the arena blocks from the sweep's (defaulted) arena
-// options: Interference always, Hedging and BundleAuctions when the
-// options run them. The blocks echo the configuration even for an
-// empty population.
-func (a *Aggregator) EnableArena(ao ArenaOptions) {
-	a.rep.Interference = &Interference{Chains: ao.Chains}
-	if ao.Hedge {
-		a.rep.Hedging = &Hedging{Collateral: ao.HedgeCollateral, VolWindow: ao.PremiumVolWindow}
+// EnableArena arms the arena blocks for a sweep of arenas on chains
+// shared chains, echoing the resolved world options: Interference
+// always, Hedging and BundleAuctions when the world runs them. The
+// blocks echo the configuration even for an empty population.
+func (a *Aggregator) EnableArena(chains int, world arena.Options) {
+	a.rep.Interference = &Interference{Chains: chains}
+	if hp := world.HedgeParams(); hp != nil {
+		h := hp.WithDefaults()
+		a.rep.Hedging = &Hedging{Collateral: h.Collateral, VolWindow: h.VolWindow}
 	}
-	if ao.Bundles {
-		a.rep.BundleAuctions = &BundleAuctions{Budget: ao.BundleBudget}
+	if world.Bundles {
+		a.rep.BundleAuctions = &BundleAuctions{Budget: world.BundleBudget}
 	}
 }
 
