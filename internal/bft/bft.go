@@ -14,6 +14,7 @@
 package bft
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -68,6 +69,36 @@ func (c Committee) Encode() []byte {
 		buf = append(buf, m.Public...)
 	}
 	return buf
+}
+
+// EncodedEqual reports whether enc equals c.Encode(), without building
+// the encoding.
+func (c Committee) EncodedEqual(enc []byte) bool {
+	var tmp [8]byte
+	field := func(b []byte) bool {
+		if !bytes.HasPrefix(enc, b) {
+			return false
+		}
+		enc = enc[len(b):]
+		return true
+	}
+	uint64Field := func(v int) bool {
+		binary.BigEndian.PutUint64(tmp[:], uint64(v))
+		return field(tmp[:])
+	}
+	if !uint64Field(c.Epoch) || !uint64Field(c.F) {
+		return false
+	}
+	for _, m := range c.Members {
+		if !uint64Field(len(m.ID)) || len(enc) < len(m.ID) || string(enc[:len(m.ID)]) != m.ID {
+			return false
+		}
+		enc = enc[len(m.ID):]
+		if !field(m.Public) {
+			return false
+		}
+	}
+	return len(enc) == 0
 }
 
 // Signer is a validator that can sign statements.

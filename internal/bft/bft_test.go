@@ -37,6 +37,58 @@ func TestCommitteeDeterministic(t *testing.T) {
 	}
 }
 
+// TestEncodedEqualMatchesEncode holds EncodedEqual to the byte
+// comparison it replaces, string(c.Encode()) == string(enc), on every
+// pairing of a set of committees and encodings, including ambiguous ones
+// built from members with short public keys.
+func TestEncodedEqualMatchesEncode(t *testing.T) {
+	base, _ := NewCommittee("cbc", 0, 1)
+	foreign, _ := NewCommittee("evil", 0, 1)
+	nextEpoch, _ := NewCommittee("cbc", 1, 1)
+	pub := base.Members[0].Public
+	short := Committee{Members: []Member{{ID: "a", Public: pub[:10]}}}
+	// ["a" with a 10-byte key, "b" with the rest] encodes exactly like
+	// "a" alone with a key spanning both: the comparison says equal.
+	split := Committee{Members: []Member{
+		{ID: "a", Public: pub[:10]}, {ID: "b", Public: pub[10:]},
+	}}
+	joined := Committee{Members: []Member{{ID: "a",
+		Public: append(append(append([]byte(nil), pub[:10]...), 0, 0, 0, 0, 0, 0, 0, 1, 'b'), pub[10:]...)}}}
+	committees := map[string]Committee{
+		"base":       base,
+		"foreign":    foreign,
+		"next-epoch": nextEpoch,
+		"higher-f":   {Epoch: 0, F: 2, Members: base.Members},
+		"no-members": {Epoch: 0, F: 1},
+		"reordered":  {Epoch: 0, F: 1, Members: []Member{base.Members[1], base.Members[0], base.Members[2], base.Members[3]}},
+		"short-key":  short,
+		"split":      split,
+		"joined":     joined,
+	}
+	encodings := map[string][]byte{"nil": nil, "empty": {}}
+	for name, c := range committees {
+		enc := c.Encode()
+		encodings[name] = enc
+		encodings[name+"/truncated"] = enc[:len(enc)-1]
+		encodings[name+"/extended"] = append(append([]byte(nil), enc...), 0)
+	}
+	if !split.EncodedEqual(joined.Encode()) {
+		t.Fatal("split and joined committees must share an encoding")
+	}
+	for cname, c := range committees {
+		for ename, enc := range encodings {
+			want := string(c.Encode()) == string(enc)
+			if got := c.EncodedEqual(enc); got != want {
+				t.Errorf("%s.EncodedEqual(%s) = %v, Encode comparison says %v", cname, ename, got, want)
+			}
+		}
+	}
+	enc := base.Encode()
+	if n := testing.AllocsPerRun(100, func() { base.EncodedEqual(enc) }); n != 0 {
+		t.Errorf("EncodedEqual allocates %v times per call, want 0", n)
+	}
+}
+
 func TestCertificateQuorumAccepted(t *testing.T) {
 	c, signers := NewCommittee("cbc", 0, 1) // 4 validators, quorum 3
 	stmt := []byte("deal D committed")

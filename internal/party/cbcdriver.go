@@ -32,6 +32,9 @@ type CBCHooks struct {
 type cbcState struct {
 	started   bool
 	startHash [32]byte
+	// initialCommittee is the CBC's initial committee, encoded once when
+	// the party observes the startDeal, for checking Dinfo.
+	initialCommittee []byte
 	// votedCommit records that a commit vote was published;
 	// votedCommitAt alone cannot, because sim time starts at 0 and a
 	// vote stamped t=0 is indistinguishable from "never voted".
@@ -80,10 +83,9 @@ func (p *Party) onCBCBlock(b *cbc.Block) {
 			}
 			st.started = true
 			st.startHash = cbc.StartHash(e.Deal, e.Parties, b.Height, idx)
-			p.performEscrows(cbc.Info{
-				StartHash: st.startHash,
-				Committee: p.cfg.CBCHooks.CBC.InitialCommittee(),
-			})
+			committee := p.cfg.CBCHooks.CBC.InitialCommittee()
+			st.initialCommittee = committee.Encode()
+			p.performEscrows(cbc.Info{StartHash: st.startHash, Committee: committee})
 			p.scheduleGiveUp()
 			break
 		}
@@ -109,8 +111,7 @@ func (p *Party) cbcInfoOK(info any) bool {
 	if st == nil || !st.started || ci.StartHash != st.startHash {
 		return false
 	}
-	want := p.cfg.CBCHooks.CBC.InitialCommittee().Encode()
-	return string(ci.Committee.Encode()) == string(want)
+	return ci.Committee.EncodedEqual(st.initialCommittee)
 }
 
 // sendCBCVote publishes the party's vote on the CBC. Deviations: an

@@ -159,7 +159,7 @@ func TestCBCInfoValidation(t *testing.T) {
 		Spec: spec, Protocol: ProtoCBC, Sched: sched,
 		CBCHooks: &CBCHooks{CBC: c},
 	})
-	p.cbcState = &cbcState{started: true}
+	p.cbcState = &cbcState{started: true, initialCommittee: c.InitialCommittee().Encode()}
 	p.cbcState.startHash = [32]byte{1, 2, 3}
 
 	good := cbc.Info{StartHash: p.cbcState.startHash, Committee: c.InitialCommittee()}

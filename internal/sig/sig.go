@@ -9,6 +9,20 @@
 // path p only if it arrives before t0 + |p|·Δ, so the chain length is
 // load-bearing: it proves how many forwarding hops the vote took and
 // therefore how late it may legitimately be.
+//
+// Signing, verification and key derivation are pure functions that the
+// simulator repeats on identical inputs: same-shape deals share deal ids,
+// party names and validator tags, so they sign and check the same bytes.
+// The package memoizes all three in fixed tables of 4,096 slots each
+// (768 KiB in all, allocated once and shared by every goroutine):
+// successful Verify verdicts keyed by the SHA-256 of (public key,
+// message, signature), signatures keyed by the SHA-256 of (private key,
+// message), and public keys keyed by the derived Ed25519 seed. Only
+// successful verdicts are kept; a failed or malformed signature is
+// checked again on every call. Every hit returns a fresh copy. The memo
+// changes no result and counts nothing: callers meter gas per logical
+// verification (PathSig.Verify's counter, bft.Certificate.Verify,
+// chain.Env.VerifySig), hit or miss.
 package sig
 
 import (
@@ -30,16 +44,29 @@ type KeyPair struct {
 // role of the party's identity secret.
 func GenerateKeyPair(seed string) KeyPair {
 	h := sha256.Sum256([]byte("xdeal/keyseed/" + seed))
-	priv := ed25519.NewKeyFromSeed(h[:])
+	pub, ok := derived.load(&h)
+	if !ok {
+		pub = [32]byte(ed25519.NewKeyFromSeed(h[:])[ed25519.SeedSize:])
+		derived.store(&h, pub)
+	}
+	// An Ed25519 private key is its seed followed by its public key.
+	priv := make(ed25519.PrivateKey, 0, ed25519.PrivateKeySize)
+	priv = append(append(priv, h[:]...), pub[:]...)
 	return KeyPair{
-		Public:  priv.Public().(ed25519.PublicKey),
+		Public:  append(ed25519.PublicKey(nil), pub[:]...),
 		private: priv,
 	}
 }
 
 // Sign signs msg with the private key.
 func (k KeyPair) Sign(msg []byte) []byte {
-	return ed25519.Sign(k.private, msg)
+	key := Hash(k.private, msg)
+	if s, ok := signed.load(&key); ok {
+		return append([]byte(nil), s[:]...)
+	}
+	s := ed25519.Sign(k.private, msg)
+	signed.store(&key, [64]byte(s))
+	return s
 }
 
 // Verify reports whether sig is a valid signature of msg under pub.
@@ -47,7 +74,15 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize {
 		return false
 	}
-	return ed25519.Verify(pub, msg, sig)
+	key := Hash(pub, msg, sig)
+	if _, ok := verified.load(&key); ok {
+		return true
+	}
+	if !ed25519.Verify(pub, msg, sig) {
+		return false
+	}
+	verified.store(&key, struct{}{})
+	return true
 }
 
 // Hash returns the SHA-256 hash of the concatenation of parts, with
@@ -61,7 +96,7 @@ func Hash(parts ...[]byte) [32]byte {
 		h.Write(p)
 	}
 	var out [32]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 
