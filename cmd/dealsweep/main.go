@@ -68,6 +68,16 @@
 // sweep may leave unabsorbed — so performance and defense regressions
 // fail CI alongside property violations.
 //
+// Observability flags never change the report: -metrics-json writes the
+// sweep's merged metrics-registry snapshot (counters, high-water gauges,
+// and 2% log-bucket histograms of transaction queue delay and block
+// interval in ticks), -flight-record writes JSONL evidence when the
+// sweep fails, and -cpuprofile/-memprofile/-mutexprofile profile the
+// sweep. Like the -budget-* gates they apply to sweeps only; -replay
+// rejects them (exit 2) rather than silently ignoring them.
+//
+//	dealsweep -deals 200 -seed 2 -metrics-json metrics.json
+//
 // The report depends only on (-seed, -deals, generator flags) — never
 // on -workers — so sweeps are reproducible; a violation flagged at
 // index i replays with -replay i under the same flags (table mode
@@ -131,8 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	hedgeCollateral := fs.Float64("hedge-collateral", 1.0, "collateral bond as a multiple of the insured deposit (hedge mode)")
 	premiumVolWindow := fs.Int("premium-vol-window", 32, "base-fee volatility window, in blocks, premiums are priced over (hedge mode)")
 
-	metricsJSON := fs.String("metrics-json", "", "write the sweep's metrics-registry snapshot (blocks sealed, mempool high-water, queue delays, fee/hedge ledgers) to this file as JSON")
-	metricsCSV := fs.String("metrics-csv", "", "write the metrics-registry snapshot to this file as CSV")
+	metricsJSON := fs.String("metrics-json", "", "write the sweep's metrics-registry snapshot (blocks sealed, mempool high-water, queue delays and block intervals as 2% log-bucket histograms, fee/hedge ledgers) to this file as JSON")
 	flightRecord := fs.String("flight-record", "", "write a JSONL flight-record evidence file to this path when the sweep fails (property violation, run error, or budget breach)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at sweep end")
@@ -235,6 +244,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if (*explain || *chromeTrace != "") && *arenaMode {
 		return fail("-explain and -chrome-trace need an isolated replay (arena chains interleave many deals; drop -arena to trace one)")
 	}
+	if *replayIndex >= 0 {
+		var sweepOnly string
+		fs.Visit(func(f *flag.Flag) {
+			switch {
+			case sweepOnly != "":
+			case strings.HasPrefix(f.Name, "budget-"), f.Name == "metrics-json", f.Name == "flight-record",
+				f.Name == "cpuprofile", f.Name == "memprofile", f.Name == "mutexprofile":
+				sweepOnly = f.Name
+			}
+		})
+		if sweepOnly != "" {
+			return fail("-%s applies to sweeps; -replay re-runs one deal and would ignore it", sweepOnly)
+		}
+	}
 	gen := fleet.GenOptions{
 		Seed:            *seed,
 		Protocol:        *protocol,
@@ -280,7 +303,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// only when their flags ask for output. None of it can reach the
 	// report: obs instruments are passive by contract.
 	ob := &fleet.ObsOptions{}
-	if *metricsJSON != "" || *metricsCSV != "" {
+	if *metricsJSON != "" {
 		ob.Metrics = obs.NewRegistry()
 	}
 	if *flightRecord != "" {
@@ -323,12 +346,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if ob.Metrics != nil {
-		snap := ob.Metrics.Snapshot()
-		if err := writeSnapshot(*metricsJSON, snap.WriteJSON); err != nil {
-			fmt.Fprintf(stderr, "dealsweep: %v\n", err)
-			return 1
-		}
-		if err := writeSnapshot(*metricsCSV, snap.WriteCSV); err != nil {
+		if err := writeSnapshot(*metricsJSON, ob.Metrics.Snapshot().WriteJSON); err != nil {
 			fmt.Fprintf(stderr, "dealsweep: %v\n", err)
 			return 1
 		}

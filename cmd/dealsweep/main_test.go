@@ -55,6 +55,16 @@ func TestFlagValidationRejectsDegenerateSweeps(t *testing.T) {
 		{"explain-with-arena", []string{"-arena", "-replay", "3", "-explain"}, "need an isolated replay"},
 		{"chrome-trace-with-arena", []string{"-arena", "-replay", "3", "-chrome-trace", "t.json"}, "need an isolated replay"},
 		{"replay-outside-population", []string{"-deals", "5", "-replay", "99999"}, "fleet: deal index 99999 outside population [0, 5)"},
+		{"replay-with-metrics-json", []string{"-replay", "3", "-metrics-json", "m.json"}, "-metrics-json applies to sweeps"},
+		{"replay-with-flight-record", []string{"-replay", "3", "-flight-record", "f.jsonl"}, "-flight-record applies to sweeps"},
+		{"replay-with-cpuprofile", []string{"-replay", "3", "-cpuprofile", "cpu.pprof"}, "-cpuprofile applies to sweeps"},
+		{"replay-with-memprofile", []string{"-replay", "3", "-memprofile", "mem.pprof"}, "-memprofile applies to sweeps"},
+		{"replay-with-mutexprofile", []string{"-replay", "3", "-mutexprofile", "mutex.pprof"}, "-mutexprofile applies to sweeps"},
+		{"replay-with-p99-delta-budget", []string{"-replay", "3", "-budget-p99-delta", "0.001"}, "-budget-p99-delta applies to sweeps"},
+		{"replay-with-p99-gas-budget", []string{"-replay", "3", "-budget-p99-gas", "1"}, "-budget-p99-gas applies to sweeps"},
+		{"replay-with-fee-budget", []string{"-feemarket", "-replay", "3", "-budget-fee-per-commit", "1"}, "-budget-fee-per-commit applies to sweeps"},
+		{"replay-with-residual-budget", []string{"-arena", "-hedge", "-replay", "3", "-budget-residual-loss", "1"}, "-budget-residual-loss applies to sweeps"},
+		{"replay-with-defer-budget", []string{"-arena", "-feemarket", "-bundles", "-replay", "3", "-budget-bundle-defer", "0.5"}, "-budget-bundle-defer applies to sweeps"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -217,17 +227,16 @@ func TestBudgetGates(t *testing.T) {
 	}
 }
 
-// TestMetricsSnapshotFiles: -metrics-json and -metrics-csv write
-// non-empty registry snapshots, and the JSON one carries the core
-// chain counters the sweep promises (blocks sealed, mempool
-// high-water, queue delays) plus the fleet totals.
+// TestMetricsSnapshotFiles: -metrics-json writes a non-empty registry
+// snapshot carrying the core chain counters the sweep promises (blocks
+// sealed, mempool high-water, queue delays) plus the fleet totals, and
+// every histogram's ascending buckets account for all its observations.
 func TestMetricsSnapshotFiles(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "metrics.json")
-	csvPath := filepath.Join(dir, "metrics.csv")
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-deals", "20", "-seed", "5", "-workers", "4", "-json",
-		"-metrics-json", jsonPath, "-metrics-csv", csvPath}, &stdout, &stderr)
+		"-metrics-json", jsonPath}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("run = %d, want 0\nstderr: %s", code, stderr.String())
 	}
@@ -237,8 +246,13 @@ func TestMetricsSnapshotFiles(t *testing.T) {
 	}
 	var snap struct {
 		Metrics []struct {
-			Name string `json:"name"`
-			Kind string `json:"kind"`
+			Name    string `json:"name"`
+			Kind    string `json:"kind"`
+			Count   uint64 `json:"count"`
+			Buckets []struct {
+				LE float64 `json:"le"`
+				N  uint64  `json:"n"`
+			} `json:"buckets"`
 		} `json:"metrics"`
 	}
 	if err := json.Unmarshal(raw, &snap); err != nil {
@@ -261,15 +275,20 @@ func TestMetricsSnapshotFiles(t *testing.T) {
 			t.Fatalf("metric %s: kind %q, want %q (snapshot: %s)", name, have[name], kind, raw)
 		}
 	}
-	csv, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatalf("metrics CSV not written: %v", err)
-	}
-	if !strings.HasPrefix(string(csv), "name,kind,count,value,high,sum,overflow,buckets\n") {
-		t.Fatalf("CSV header missing:\n%s", csv)
-	}
-	if !strings.Contains(string(csv), "chain.blocks_sealed,counter") {
-		t.Fatalf("CSV lacks chain.blocks_sealed row:\n%s", csv)
+	for _, m := range snap.Metrics {
+		if m.Kind != "histogram" {
+			continue
+		}
+		var n uint64
+		for i, b := range m.Buckets {
+			n += b.N
+			if i > 0 && b.LE <= m.Buckets[i-1].LE {
+				t.Fatalf("histogram %s: bucket edges not ascending: %+v", m.Name, m.Buckets)
+			}
+		}
+		if m.Count == 0 || n != m.Count {
+			t.Fatalf("histogram %s: buckets hold %d of %d observations", m.Name, n, m.Count)
+		}
 	}
 }
 
@@ -381,7 +400,6 @@ func TestObsFlagsDoNotChangeReport(t *testing.T) {
 	bare := render()
 	instrumented := render(
 		"-metrics-json", filepath.Join(dir, "m.json"),
-		"-metrics-csv", filepath.Join(dir, "m.csv"),
 		"-flight-record", filepath.Join(dir, "f.jsonl"),
 		"-cpuprofile", filepath.Join(dir, "cpu.pprof"),
 		"-memprofile", filepath.Join(dir, "mem.pprof"),

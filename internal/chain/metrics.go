@@ -19,15 +19,15 @@ func (c *Chain) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter("chain.txs_included").Add(uint64(len(c.receipts)))
 	reg.Gauge("chain.mempool_high").Set(int64(c.mpHigh))
 
-	queue := reg.Histogram("chain.tx_queue_delay_ticks", obs.TickBuckets())
-	interval := reg.Histogram("chain.block_interval_ticks", obs.TickBuckets())
+	queue := reg.Histogram("chain.tx_queue_delay_ticks")
+	interval := reg.Histogram("chain.block_interval_ticks")
 	var lastBlock int64 = -1
 	for _, r := range c.receipts {
-		queue.Observe(float64(r.Queued()))
+		queue.Add(float64(r.Queued()))
 		bt := int64(r.Time)
 		if bt != lastBlock {
 			if lastBlock >= 0 {
-				interval.Observe(float64(bt - lastBlock))
+				interval.Add(float64(bt - lastBlock))
 			}
 			lastBlock = bt
 		}

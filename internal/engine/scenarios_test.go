@@ -192,7 +192,8 @@ func TestMixedAssetsAcrossManyChains(t *testing.T) {
 }
 
 // TestRunLimitCutsOffEarly verifies the bounded-run option: the world
-// stops at the limit even with pending work, and evaluation still runs.
+// stops at the limit even with pending work, and evaluation still runs
+// without attributing latency to a decision that never came.
 func TestRunLimitCutsOffEarly(t *testing.T) {
 	spec := deal.BrokerSpec(2000, 1000)
 	w, err := Build(spec, Options{Seed: 76, Protocol: party.ProtoTimelock, RunLimit: 15})
@@ -205,6 +206,11 @@ func TestRunLimitCutsOffEarly(t *testing.T) {
 	}
 	if r.AllCommitted {
 		t.Fatal("deal committed in 15 ticks; limit not applied")
+	}
+	// Nothing decided, so nothing is attributed: the fleet's
+	// critical-path block never divides by a zero decision latency.
+	if r.Phases.DecisionEnd != 0 || r.Attribution != nil {
+		t.Fatalf("undecided run: decision at %d, attribution %+v", r.Phases.DecisionEnd, r.Attribution)
 	}
 	_ = sim.Time(0)
 }

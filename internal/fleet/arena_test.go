@@ -258,47 +258,6 @@ func TestFleetSweepStreamsIdenticalToBatch(t *testing.T) {
 	}
 }
 
-// TestSketchConstantMemory: a million samples collapse into a bounded
-// bucket set; count, min, max and mean stay exact and the percentile
-// estimates stay within the sketch's 2% relative resolution.
-func TestSketchConstantMemory(t *testing.T) {
-	var s Sketch
-	rng := sim.NewRNG(1)
-	n := 1_000_000
-	for i := 0; i < n; i++ {
-		s.Add(float64(1 + rng.Intn(1_000_000)))
-	}
-	if len(s.buckets) > 1200 {
-		t.Fatalf("sketch grew %d buckets over a 10^6 range; memory is not constant", len(s.buckets))
-	}
-	d := s.Dist()
-	if d.Count != n {
-		t.Fatalf("count = %d, want %d", d.Count, n)
-	}
-	if d.Min < 1 || d.Max > 1_000_000 {
-		t.Fatalf("bounds wrong: %+v", d)
-	}
-	if d.Mean < 490_000 || d.Mean > 510_000 {
-		t.Fatalf("mean %v far from uniform expectation", d.Mean)
-	}
-	for _, q := range []struct {
-		got, want float64
-	}{{d.P50, 500_000}, {d.P90, 900_000}, {d.P99, 990_000}} {
-		if rel := q.got/q.want - 1; rel < -0.03 || rel > 0.03 {
-			t.Fatalf("percentile %v deviates %v from %v", q.got, rel, q.want)
-		}
-	}
-	// Zero and negative samples sort below every bucket.
-	var z Sketch
-	z.Add(0)
-	z.Add(-5)
-	z.Add(10)
-	dz := z.Dist()
-	if dz.P50 != 0 || dz.Min != -5 || dz.Max != 10 || dz.Count != 3 {
-		t.Fatalf("non-positive handling wrong: %+v", dz)
-	}
-}
-
 // TestReportReplayCommandRendered: when the caller supplies the replay
 // command format, every flagged violation gets a ready-to-paste line.
 func TestReportReplayCommandRendered(t *testing.T) {

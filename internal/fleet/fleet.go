@@ -6,6 +6,7 @@ import (
 	"xdeal/internal/deal"
 	"xdeal/internal/engine"
 	"xdeal/internal/obs"
+	"xdeal/internal/trace"
 )
 
 // FeeOptions enables fee markets across a sweep: every generated world
@@ -107,7 +108,7 @@ type Record struct {
 	// CritPath is the deal's decision-latency attribution (sim ticks,
 	// buckets summing exactly to total); nil when the deal never
 	// reached a decision.
-	CritPath *CritPathRecord `json:"crit_path,omitempty"`
+	CritPath *trace.Attribution `json:"crit_path,omitempty"`
 
 	// Fee carries the run's fee-market outcome; nil without a fee
 	// market.
@@ -136,7 +137,7 @@ func newRecord(head Record, spec *deal.Spec, r *engine.Result) Record {
 	head.DeltaTime = r.Phases.InDelta(r.Phases.DecisionEnd, spec.Delta)
 	head.EndedAt = int64(r.EndedAt)
 	head.Spans = newPhaseSpans(r.Phases, spec.Delta)
-	head.CritPath = newCritPathRecord(r.Attribution)
+	head.CritPath = r.Attribution
 	return head
 }
 

@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"math"
-	"sort"
 	"strings"
 	"testing"
 
@@ -307,101 +305,6 @@ func TestFleetSweepPopulationClean(t *testing.T) {
 	if rep.Total.Committed == 0 || rep.Total.Aborted == 0 {
 		t.Fatalf("population degenerate (committed=%d aborted=%d); generator lost its variety",
 			rep.Total.Committed, rep.Total.Aborted)
-	}
-}
-
-// NewDist computes a Dist over the samples exactly: a sorted copy for
-// nearest-rank percentiles, the mean summed in input order. It is the
-// test oracle for Sketch, which the report uses.
-func NewDist(samples []float64) Dist {
-	d := Dist{Count: len(samples)}
-	if d.Count == 0 {
-		return d
-	}
-	sum := 0.0
-	for _, v := range samples {
-		sum += v
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	d.Min, d.Max = s[0], s[len(s)-1]
-	d.Mean = sum / float64(len(s))
-	d.P50 = percentile(s, 0.50)
-	d.P90 = percentile(s, 0.90)
-	d.P99 = percentile(s, 0.99)
-	return d
-}
-
-// percentile returns the nearest-rank percentile of sorted samples.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// TestSketchMatchesExactDist: on seeded samples shaped like the
-// report's inputs (non-negative gas, latencies and ratios, with zeros
-// and heavy tails), Sketch agrees with the exact oracle: count, min,
-// max and mean exactly, p50/p90/p99 within the sketch's 2% resolution.
-func TestSketchMatchesExactDist(t *testing.T) {
-	rng := sim.NewRNG(11)
-	gens := map[string]func() float64{
-		"gas":       func() float64 { return float64(400_000 + rng.Intn(1_300_000)) },
-		"latency":   func() float64 { return 0.01 + 30*rng.Float64() },
-		"ratio":     func() float64 { return 0.8 + 0.5*rng.Float64() },
-		"heavytail": func() float64 { return math.Exp(12 * rng.Float64()) },
-		"withzeros": func() float64 { return float64(rng.Intn(4)) * rng.Float64() },
-	}
-	for _, name := range []string{"gas", "latency", "ratio", "heavytail", "withzeros"} {
-		for _, n := range []int{1, 2, 3, 10, 99, 1000, 20_000} {
-			samples := make([]float64, n)
-			var sk Sketch
-			for i := range samples {
-				samples[i] = gens[name]()
-				sk.Add(samples[i])
-			}
-			got, want := sk.Dist(), NewDist(samples)
-			if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max || got.Mean != want.Mean {
-				t.Fatalf("%s n=%d: exact fields diverge: sketch %+v, oracle %+v", name, n, got, want)
-			}
-			for _, q := range []struct {
-				name      string
-				got, want float64
-			}{{"p50", got.P50, want.P50}, {"p90", got.P90, want.P90}, {"p99", got.P99, want.P99}} {
-				if math.Abs(q.got-q.want) > 0.02*q.want {
-					t.Fatalf("%s n=%d: %s = %v, oracle %v (beyond 2%%)", name, n, q.name, q.got, q.want)
-				}
-			}
-		}
-	}
-}
-
-// TestDistPercentiles: the oracle's percentile summary on a known sample.
-func TestDistPercentiles(t *testing.T) {
-	var samples []float64
-	for i := 100; i >= 1; i-- { // unsorted input
-		samples = append(samples, float64(i))
-	}
-	d := NewDist(samples)
-	if d.Count != 100 || d.Min != 1 || d.Max != 100 {
-		t.Fatalf("bounds wrong: %+v", d)
-	}
-	if d.P50 != 50 || d.P90 != 90 || d.P99 != 99 {
-		t.Fatalf("percentiles wrong: %+v", d)
-	}
-	if d.Mean != 50.5 {
-		t.Fatalf("mean = %v, want 50.5", d.Mean)
-	}
-	if z := NewDist(nil); z.Count != 0 || z.Max != 0 {
-		t.Fatalf("empty dist not zero: %+v", z)
 	}
 }
 

@@ -100,7 +100,7 @@ func newPhaseSpans(p engine.PhaseTimes, delta sim.Duration) *PhaseSpans {
 // PhaseDist is one phase's latency distribution within a protocol.
 type PhaseDist struct {
 	Phase string `json:"phase"`
-	Dist
+	obs.Dist
 }
 
 // ProtocolPhases is one protocol's phase-latency table.
@@ -118,7 +118,7 @@ type PhasesBlock struct {
 
 // phaseAgg folds one protocol's spans in constant memory.
 type phaseAgg struct {
-	escrow, transfer, validation, decision, total Sketch
+	escrow, transfer, validation, decision, total obs.Sketch
 }
 
 func (p *phaseAgg) add(s *PhaseSpans) {
@@ -145,7 +145,7 @@ func (p *phaseAgg) phases() []PhaseDist {
 	var out []PhaseDist
 	for _, ph := range []struct {
 		name string
-		s    *Sketch
+		s    *obs.Sketch
 	}{
 		{"escrow", &p.escrow},
 		{"transfer", &p.transfer},
@@ -153,7 +153,7 @@ func (p *phaseAgg) phases() []PhaseDist {
 		{"decision", &p.decision},
 		{"total", &p.total},
 	} {
-		if ph.s.count == 0 {
+		if ph.s.Count() == 0 {
 			continue
 		}
 		out = append(out, PhaseDist{Phase: ph.name, Dist: ph.s.Dist()})

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 	"text/tabwriter"
@@ -13,92 +12,6 @@ import (
 	"xdeal/internal/arena"
 	"xdeal/internal/obs"
 )
-
-// Dist summarizes a sample distribution with percentiles.
-type Dist struct {
-	Count int     `json:"count"`
-	Min   float64 `json:"min"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-// sketchGamma is the Sketch's log-bucket base: values within the same
-// bucket differ by at most 2%, which bounds the percentile error.
-const sketchGamma = 1.02
-
-// Sketch is a constant-memory streaming summary of a sample
-// distribution: count, sum, min and max are exact; percentiles come
-// from a log-bucketed histogram at ~2% relative resolution (a DDSketch
-// in miniature). Adding a sample is O(1) and the bucket count is
-// bounded by the dynamic range of the data, not the sample count — so
-// populations of millions of deals aggregate in constant memory. The
-// summary is order-independent, so streaming and batch folds agree.
-type Sketch struct {
-	count    int
-	sum      float64
-	min, max float64
-	nonpos   int // samples ≤ 0, kept out of the log buckets
-	buckets  map[int]int
-}
-
-// Add folds one sample into the sketch.
-func (s *Sketch) Add(v float64) {
-	if s.count == 0 || v < s.min {
-		s.min = v
-	}
-	if s.count == 0 || v > s.max {
-		s.max = v
-	}
-	s.count++
-	s.sum += v
-	if v <= 0 {
-		s.nonpos++
-		return
-	}
-	if s.buckets == nil {
-		s.buckets = make(map[int]int)
-	}
-	s.buckets[int(math.Floor(math.Log(v)/math.Log(sketchGamma)))]++
-}
-
-// Dist summarizes the sketch. Min, max and mean are exact; the
-// percentiles are bucket representatives, within 2% of the true value.
-func (s *Sketch) Dist() Dist {
-	d := Dist{Count: s.count}
-	if s.count == 0 {
-		return d
-	}
-	d.Min, d.Max = s.min, s.max
-	d.Mean = s.sum / float64(s.count)
-	idxs := make([]int, 0, len(s.buckets))
-	for i := range s.buckets {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	quantile := func(p float64) float64 {
-		rank := int(math.Ceil(p * float64(s.count)))
-		if rank <= s.nonpos {
-			return 0 // non-positive samples sort below every bucket
-		}
-		seen := s.nonpos
-		for _, i := range idxs {
-			seen += s.buckets[i]
-			if seen >= rank {
-				// Geometric bucket midpoint, clamped to the observed range.
-				v := math.Pow(sketchGamma, float64(i)+0.5)
-				return math.Min(math.Max(v, s.min), s.max)
-			}
-		}
-		return s.max
-	}
-	d.P50 = quantile(0.50)
-	d.P90 = quantile(0.90)
-	d.P99 = quantile(0.99)
-	return d
-}
 
 // Violation flags one property violation with everything needed to
 // replay the offending run.
@@ -174,8 +87,8 @@ type Report struct {
 	// Gas and DeltaTime summarize per-deal gas and decision latency (in
 	// Δ units) over finalized runs. Percentiles are sketch estimates
 	// (within 2%); count, min, max and mean are exact.
-	Gas       Dist `json:"gas"`
-	DeltaTime Dist `json:"delta_time"`
+	Gas       obs.Dist `json:"gas"`
+	DeltaTime obs.Dist `json:"delta_time"`
 
 	// Phases localizes decision latency: per-protocol distributions of
 	// each lifecycle phase span (escrow, transfer, validation, decision,
@@ -228,7 +141,7 @@ type Interference struct {
 	// LatencyInflation distributes per-deal arena/solo decision-latency
 	// ratios; only deals that decided in both worlds, with the same
 	// outcome, contribute.
-	LatencyInflation Dist `json:"latency_inflation"`
+	LatencyInflation obs.Dist `json:"latency_inflation"`
 	// Sore-loser damage: triggers (parties that backed out on a price
 	// move), deals that consequently failed to commit, and the fungible
 	// value compliant counterparties had locked in them for nothing.
@@ -467,8 +380,8 @@ const maxViolations = 1000
 // fold in index order.
 type Aggregator struct {
 	rep        *Report
-	gas, dtime Sketch
-	inflation  Sketch               // arena/alone latency ratios (Interference)
+	gas, dtime obs.Sketch
+	inflation  obs.Sketch           // arena/alone latency ratios (Interference)
 	commitFees uint64               // fee spend of committed deals (OrderingGames)
 	tips       hist[uint64]         // tip -> queuing delay (OrderingGames)
 	vols       hist[int]            // volatility bps -> premium, collateral (Hedging)

@@ -27,38 +27,41 @@ import (
 )
 
 func TestDetRangeFixtures(t *testing.T) {
-	runFixture(t, DetRange, "xdeal/internal/engine")
-	runFixture(t, DetRange, "xdeal/internal/misc")
+	runFixture(t, "xdeal/internal/engine", DetRange)
+	runFixture(t, "xdeal/internal/misc", DetRange)
+	// obs runs under DetRange too, with NoClock, in TestNoClockFixtures.
 }
 
 func TestNoClockFixtures(t *testing.T) {
-	runFixture(t, NoClock, "xdeal/internal/clock")
+	runFixture(t, "xdeal/internal/clock", NoClock)
 	// The sanctioned wrapper packages: banned calls, zero diagnostics.
-	runFixture(t, NoClock, "xdeal/internal/sim")
-	runFixture(t, NoClock, "xdeal/internal/obs")
+	runFixture(t, "xdeal/internal/sim", NoClock)
+	// obs is also a detrange target: its wall-clock reads stay silent
+	// while its float fold over a map is flagged.
+	runFixture(t, "xdeal/internal/obs", NoClock, DetRange)
 	// A lookalike prefix must NOT inherit the obs exemption.
-	runFixture(t, NoClock, "xdeal/internal/obsfake")
+	runFixture(t, "xdeal/internal/obsfake", NoClock)
 }
 
 func TestReceiptCheckFixtures(t *testing.T) {
-	runFixture(t, ReceiptCheck, "xdeal/internal/rcpt")
+	runFixture(t, "xdeal/internal/rcpt", ReceiptCheck)
 }
 
 func TestLabelCheckFixtures(t *testing.T) {
-	runFixture(t, LabelCheck, "xdeal/internal/party")
-	runFixture(t, LabelCheck, "xdeal/internal/labels")
+	runFixture(t, "xdeal/internal/party", LabelCheck)
+	runFixture(t, "xdeal/internal/labels", LabelCheck)
 }
 
-// runFixture loads one fixture package, runs a single analyzer over
-// it, and reconciles diagnostics against the // want expectations.
-func runFixture(t *testing.T, a *Analyzer, path string) {
+// runFixture loads one fixture package, runs the analyzers over it,
+// and reconciles their diagnostics against the // want expectations.
+func runFixture(t *testing.T, path string, as ...*Analyzer) {
 	t.Helper()
 	l := newFixtureLoader(t)
 	if _, err := l.Import(path); err != nil {
 		t.Fatalf("loading fixture %s: %v", path, err)
 	}
 	pkg := l.pkg[path]
-	diags, err := RunAnalyzers(pkg, []*Analyzer{a})
+	diags, err := RunAnalyzers(pkg, as)
 	if err != nil {
 		t.Fatal(err)
 	}

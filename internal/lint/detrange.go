@@ -51,13 +51,14 @@ var DetRange = &Analyzer{
 	Doc: "flag order-dependent map iteration in report-feeding packages\n\n" +
 		"Reports must be byte-identical across worker counts and replays\n" +
 		"bit-for-bit; an unsorted map range in fleet, arena, feemarket,\n" +
-		"hedge, bundle, chain, or engine silently breaks both.",
+		"hedge, bundle, chain, engine, or obs silently breaks both.",
 	Run: runDetRange,
 }
 
 // detRangeTargets is the set of package basenames (under internal/)
 // whose output feeds reports, aggregation, block building, or winner
-// determination.
+// determination. obs holds the report's distribution type (Sketch) and
+// the metrics registry whose snapshots must match across worker counts.
 var detRangeTargets = map[string]bool{
 	"fleet":     true,
 	"arena":     true,
@@ -66,6 +67,7 @@ var detRangeTargets = map[string]bool{
 	"bundle":    true,
 	"chain":     true,
 	"engine":    true,
+	"obs":       true,
 }
 
 // suppressionComment is the marker justifying an order-dependent map

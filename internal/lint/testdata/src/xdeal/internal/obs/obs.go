@@ -1,7 +1,7 @@
 // Package obs is the sanctioned observability wrapper around ambient
 // sources: the second noclock exemption fixture. Wall-clock stage
 // timing lives here precisely so no other simulator package needs a
-// clock. No diagnostics may fire.
+// clock. No noclock diagnostics may fire.
 package obs
 
 import "time"

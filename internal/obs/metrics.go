@@ -1,13 +1,9 @@
 package obs
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -77,43 +73,6 @@ func (g *Gauge) High() int64 {
 	return g.hi
 }
 
-// Histogram distributes observations over fixed buckets. Bounds are
-// upper edges (inclusive), ascending; observations above the last bound
-// land in the overflow count. Fixed buckets keep snapshots flat and
-// mergeable: two histograms with the same bounds merge by bucket-wise
-// addition, so aggregation order can never reach the snapshot.
-type Histogram struct {
-	bounds   []float64
-	counts   []uint64
-	overflow uint64
-	count    uint64
-	sum      float64
-}
-
-// Observe folds one sample into the histogram.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.count++
-	h.sum += v
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.overflow++
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
 // Registry holds named instruments. A registry belongs to one
 // simulation (world or arena) at a time and is merged into the
 // sweep-level registry in fold order; every merge operation is
@@ -124,7 +83,7 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	hists    map[string]*Sketch
 }
 
 // NewRegistry returns an empty registry.
@@ -132,7 +91,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		hists:    make(map[string]*Sketch),
 	}
 }
 
@@ -168,10 +127,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bucket bounds on first use (later calls reuse the existing buckets
-// regardless of the bounds argument). Returns nil on a nil registry.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns the named distribution, creating it on first use.
+// Returns nil (a no-op sketch) on a nil registry. Registered samples
+// are sim-time durations in integer ticks, so sums merge exactly and
+// the merged snapshot is independent of merge order.
+func (r *Registry) Histogram(name string) *Sketch {
 	if r == nil {
 		return nil
 	}
@@ -179,16 +139,13 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = &Histogram{
-			bounds: append([]float64(nil), bounds...),
-			counts: make([]uint64, len(bounds)),
-		}
+		h = &Sketch{}
 		r.hists[name] = h
 	}
 	return h
 }
 
-// Merge folds another registry into this one: counters and histogram
+// Merge folds another registry into this one: counters and sketch
 // buckets add, gauge levels and high-water marks take the maximum.
 // Safe for concurrent use; because every operation is commutative, the
 // merged state is independent of merge order.
@@ -200,6 +157,7 @@ func (r *Registry) Merge(o *Registry) {
 	defer o.mu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	//xdeal:unordered each name touches only its own counter, and the integer sum commutes
 	for name, c := range o.counters {
 		rc := r.counters[name]
 		if rc == nil {
@@ -208,6 +166,7 @@ func (r *Registry) Merge(o *Registry) {
 		}
 		rc.n += c.n
 	}
+	//xdeal:unordered each name touches only its own gauge, and max commutes
 	for name, g := range o.gauges {
 		rg := r.gauges[name]
 		if rg == nil {
@@ -221,36 +180,28 @@ func (r *Registry) Merge(o *Registry) {
 			rg.hi = g.hi
 		}
 	}
+	//xdeal:unordered each name touches only its own sketch, and Sketch.merge commutes (integral sums)
 	for name, h := range o.hists {
 		rh := r.hists[name]
 		if rh == nil {
-			rh = &Histogram{
-				bounds: append([]float64(nil), h.bounds...),
-				counts: make([]uint64, len(h.counts)),
-			}
+			rh = &Sketch{}
 			r.hists[name] = rh
 		}
-		for i := range h.counts {
-			if i < len(rh.counts) {
-				rh.counts[i] += h.counts[i]
-			}
-		}
-		rh.overflow += h.overflow
-		rh.count += h.count
-		rh.sum += h.sum
+		rh.merge(h)
 	}
 }
 
 // Bucket is one histogram bucket in a snapshot: the count of
-// observations at or below the upper edge (and above the previous one).
+// observations below the upper edge LE and at or above the previous
+// bucket's edge. Buckets are log-spaced (2% apart, see Sketch) and only
+// occupied ones appear; an LE 0 bucket counts non-positive samples.
 type Bucket struct {
 	LE float64 `json:"le"`
 	N  uint64  `json:"n"`
 }
 
 // Metric is one instrument's flat snapshot row. Exactly one of the
-// kind-specific field groups is populated; the struct stays flat so the
-// same shape serializes to JSON and CSV without restructuring.
+// kind-specific field groups is populated.
 type Metric struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"`
@@ -259,12 +210,10 @@ type Metric struct {
 	// Value / High are the gauge level and high-water mark.
 	Value int64 `json:"value,omitempty"`
 	High  int64 `json:"high,omitempty"`
-	// Sum, Buckets and Overflow describe a histogram: total of all
-	// observations, per-bucket counts, and observations above the last
-	// bucket edge.
-	Sum      float64  `json:"sum,omitempty"`
-	Buckets  []Bucket `json:"buckets,omitempty"`
-	Overflow uint64   `json:"overflow,omitempty"`
+	// Sum and Buckets describe a histogram: the total of all
+	// observations and the occupied buckets in ascending edge order.
+	Sum     float64  `json:"sum,omitempty"`
+	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
 // Snapshot is a registry's flat, ordered dump: one row per instrument,
@@ -277,32 +226,28 @@ type Snapshot struct {
 // sorted, so two registries holding the same state produce identical
 // snapshots no matter how they were built.
 func (r *Registry) Snapshot() Snapshot {
-	var s Snapshot
 	if r == nil {
-		return s
+		return Snapshot{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	var ms []Metric
 	for name, c := range r.counters {
-		s.Metrics = append(s.Metrics, Metric{Name: name, Kind: KindCounter, Count: c.n})
+		ms = append(ms, Metric{Name: name, Kind: KindCounter, Count: c.n})
 	}
 	for name, g := range r.gauges {
-		s.Metrics = append(s.Metrics, Metric{Name: name, Kind: KindGauge, Value: g.v, High: g.hi})
+		ms = append(ms, Metric{Name: name, Kind: KindGauge, Value: g.v, High: g.hi})
 	}
 	for name, h := range r.hists {
-		m := Metric{Name: name, Kind: KindHistogram, Count: h.count, Sum: h.sum, Overflow: h.overflow}
-		for i, b := range h.bounds {
-			m.Buckets = append(m.Buckets, Bucket{LE: b, N: h.counts[i]})
-		}
-		s.Metrics = append(s.Metrics, m)
+		ms = append(ms, Metric{Name: name, Kind: KindHistogram, Count: uint64(h.count), Sum: h.sum, Buckets: h.snapshotBuckets()})
 	}
-	sort.Slice(s.Metrics, func(i, j int) bool {
-		if s.Metrics[i].Name != s.Metrics[j].Name {
-			return s.Metrics[i].Name < s.Metrics[j].Name
+	sort.Slice(ms, func(i, j int) bool {
+		if ms[i].Name != ms[j].Name {
+			return ms[i].Name < ms[j].Name
 		}
-		return s.Metrics[i].Kind < s.Metrics[j].Kind
+		return ms[i].Kind < ms[j].Kind
 	})
-	return s
+	return Snapshot{Metrics: ms}
 }
 
 // WriteJSON renders the snapshot as indented JSON.
@@ -310,43 +255,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteCSV renders the snapshot as CSV, one row per instrument, with
-// histogram buckets flattened into a single `le=N:count;...` column.
-func (s Snapshot) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"name", "kind", "count", "value", "high", "sum", "overflow", "buckets"}); err != nil {
-		return err
-	}
-	for _, m := range s.Metrics {
-		var buckets strings.Builder
-		for i, b := range m.Buckets {
-			if i > 0 {
-				buckets.WriteByte(';')
-			}
-			fmt.Fprintf(&buckets, "le=%g:%d", b.LE, b.N)
-		}
-		row := []string{
-			m.Name, m.Kind,
-			strconv.FormatUint(m.Count, 10),
-			strconv.FormatInt(m.Value, 10),
-			strconv.FormatInt(m.High, 10),
-			strconv.FormatFloat(m.Sum, 'g', -1, 64),
-			strconv.FormatUint(m.Overflow, 10),
-			buckets.String(),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// TickBuckets is the shared bucket ladder for sim-time durations
-// (queue delays, block intervals): powers of two up to ~16k ticks.
-// One ladder everywhere keeps cross-package histograms mergeable.
-func TickBuckets() []float64 {
-	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}
 }

@@ -1,8 +1,9 @@
 // Package obs is the deterministic observability layer: a metrics
-// registry (counters, gauges, fixed-bucket histograms with flat,
-// JSON/CSV-friendly snapshots), a bounded ring-buffer flight recorder
-// (structured events, JSONL export), wall-clock stage timing, and
-// profiling hooks.
+// registry (counters, gauges and log-bucket histograms with flat JSON
+// snapshots), the Sketch/Dist distribution summary that the registry's
+// histograms and every fleet report share, a bounded ring-buffer
+// flight recorder (structured events, JSONL export), wall-clock stage
+// timing, and profiling hooks.
 //
 // The layer is strictly passive. Sim-visible instruments (the registry,
 // the flight recorder) observe simulation state without touching the

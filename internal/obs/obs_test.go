@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,14 +15,14 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	reg.Counter("a").Inc()
 	reg.Counter("a").Add(5)
 	reg.Gauge("b").Set(9)
-	reg.Histogram("c", TickBuckets()).Observe(3)
+	reg.Histogram("c").Add(3)
 	if got := reg.Counter("a").Value(); got != 0 {
 		t.Fatalf("nil counter value = %d, want 0", got)
 	}
 	if got := reg.Gauge("b").High(); got != 0 {
 		t.Fatalf("nil gauge high = %d, want 0", got)
 	}
-	if got := reg.Histogram("c", nil).Count(); got != 0 {
+	if got := reg.Histogram("c").Count(); got != 0 {
 		t.Fatalf("nil histogram count = %d, want 0", got)
 	}
 	if s := reg.Snapshot(); len(s.Metrics) != 0 {
@@ -58,9 +59,9 @@ func TestRegistryInstruments(t *testing.T) {
 	if g.Value() != 2 || g.High() != 7 {
 		t.Fatalf("gauge value/high = %d/%d, want 2/7", g.Value(), g.High())
 	}
-	h := reg.Histogram("delay", []float64{1, 4, 16})
+	h := reg.Histogram("delay")
 	for _, v := range []float64{0, 1, 2, 5, 100} {
-		h.Observe(v)
+		h.Add(v)
 	}
 	if h.Count() != 5 {
 		t.Fatalf("histogram count = %d, want 5", h.Count())
@@ -75,8 +76,16 @@ func TestRegistryInstruments(t *testing.T) {
 	if m == nil {
 		t.Fatal("delay histogram missing from snapshot")
 	}
-	wantBuckets := []Bucket{{LE: 1, N: 2}, {LE: 4, N: 1}, {LE: 16, N: 1}}
-	if len(m.Buckets) != 3 {
+	// 0 is non-positive; 1, 2, 5 and 100 sit in log buckets 0, 35, 81
+	// and 232, whose upper edges are 1.02^(i+1).
+	wantBuckets := []Bucket{
+		{LE: 0, N: 1},
+		{LE: math.Pow(1.02, 1), N: 1},
+		{LE: math.Pow(1.02, 36), N: 1},
+		{LE: math.Pow(1.02, 82), N: 1},
+		{LE: math.Pow(1.02, 233), N: 1},
+	}
+	if len(m.Buckets) != len(wantBuckets) {
 		t.Fatalf("buckets = %v", m.Buckets)
 	}
 	for i, b := range wantBuckets {
@@ -84,11 +93,8 @@ func TestRegistryInstruments(t *testing.T) {
 			t.Fatalf("bucket %d = %+v, want %+v", i, m.Buckets[i], b)
 		}
 	}
-	if m.Overflow != 1 {
-		t.Fatalf("overflow = %d, want 1", m.Overflow)
-	}
-	if m.Sum != 108 {
-		t.Fatalf("sum = %g, want 108", m.Sum)
+	if m.Count != 5 || m.Sum != 108 {
+		t.Fatalf("count/sum = %d/%g, want 5/108", m.Count, m.Sum)
 	}
 }
 
@@ -100,9 +106,9 @@ func TestMergeCommutative(t *testing.T) {
 		r := NewRegistry()
 		r.Counter("blocks").Add(uint64(seedlike * 3))
 		r.Gauge("mempool").Set(int64(10 - seedlike))
-		h := r.Histogram("queue", TickBuckets())
+		h := r.Histogram("queue")
 		for i := 0; i < seedlike*4; i++ {
-			h.Observe(float64(i * seedlike))
+			h.Add(float64(i * seedlike))
 		}
 		return r
 	}
@@ -130,26 +136,8 @@ func TestMergeCommutative(t *testing.T) {
 	if forward.Gauge("mempool").High() != 9 {
 		t.Fatalf("merged gauge high = %d, want 9", forward.Gauge("mempool").High())
 	}
-}
-
-func TestSnapshotCSV(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("c").Add(2)
-	reg.Gauge("g").Set(5)
-	reg.Histogram("h", []float64{1, 2}).Observe(3)
-	var buf bytes.Buffer
-	if err := reg.Snapshot().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("csv has %d lines, want 4 (header + 3 rows):\n%s", len(lines), buf.String())
-	}
-	if lines[0] != "name,kind,count,value,high,sum,overflow,buckets" {
-		t.Fatalf("csv header = %q", lines[0])
-	}
-	if !strings.Contains(lines[3], "le=1:0;le=2:0") || !strings.HasPrefix(lines[3], "h,histogram,1,0,0,3,1,") {
-		t.Fatalf("histogram row = %q", lines[3])
+	if got := forward.Histogram("queue").Count(); got != 4+8+12+16 {
+		t.Fatalf("merged histogram count = %d, want 40", got)
 	}
 }
 
@@ -248,7 +236,7 @@ func TestProfiles(t *testing.T) {
 	// Do a little work so the CPU profile has something to sample.
 	reg := NewRegistry()
 	for i := 0; i < 1000; i++ {
-		reg.Histogram("work", TickBuckets()).Observe(float64(i))
+		reg.Histogram("work").Add(float64(i))
 	}
 	if err := stop(); err != nil {
 		t.Fatal(err)
